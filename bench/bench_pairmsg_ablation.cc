@@ -15,7 +15,6 @@
 #include "src/common/check.h"
 #include "src/msg/paired_endpoint.h"
 #include "src/net/socket.h"
-#include "src/net/tap.h"
 #include "src/net/world.h"
 #include "src/obs/wire.h"
 
@@ -103,10 +102,10 @@ const char* ModeName(EndpointOptions::Mode mode) {
 }
 
 // E17: the Section 4.2.4 postponed-acknowledgment analysis, measured on
-// the wire rather than from endpoint counters — a packet tap at the
-// Fabric seam records every datagram, and the wire auditor's per-call
-// rollup counts the acks that actually crossed versus the ones the
-// returns and follow-up calls absorbed.
+// the wire rather than from endpoint counters — the wire auditor reads
+// every packet event the fabric publishes, and its per-call rollup
+// counts the acks that actually crossed versus the ones the returns and
+// follow-up calls absorbed.
 struct WireCostRow {
   double packets_per_call = 0;
   double bytes_per_call = 0;
@@ -115,17 +114,19 @@ struct WireCostRow {
   double retransmits_per_call = 0;
 };
 
-WireCostRow RunTappedCalls(bool back_to_back, int calls, uint64_t seed) {
+WireCostRow RunAuditedCalls(bool back_to_back, int calls, uint64_t seed) {
   World world(seed, SyscallCostModel::Free());
   circus::net::FaultPlan plan;
   plan.base_delay = Duration::MillisF(1.0);
   world.network().set_default_fault_plan(plan);
-  world.CapturePackets();  // in-memory ring, audited below
+  const EndpointOptions options;
+  circus::obs::wire::WireAuditor auditor(
+      circus::obs::wire::AuditOptionsFor(options));
+  auditor.Attach(&world.bus());
   circus::sim::Host* client_host = world.AddHost("client");
   circus::sim::Host* server_host = world.AddHost("server");
   DatagramSocket client_socket(&world.network(), client_host, 0);
   DatagramSocket server_socket(&world.network(), server_host, 9000);
-  const EndpointOptions options;
   PairedEndpoint client(&client_socket, options);
   PairedEndpoint server(&server_socket, options);
 
@@ -157,14 +158,12 @@ WireCostRow RunTappedCalls(bool back_to_back, int calls, uint64_t seed) {
       }(&client, server.local_address(), calls, !back_to_back, &done));
   world.RunFor(Duration::Seconds(600));
   CIRCUS_CHECK(done);
-  // Let the final return's acknowledgment round finish before reading
-  // the capture.
+  // Let the final return's acknowledgment round finish before closing
+  // the audit.
   world.RunFor(Duration::Seconds(5));
 
-  const circus::obs::wire::AuditReport audit = circus::obs::wire::AuditRecords(
-      world.packet_capture()->Recent(),
-      circus::obs::wire::AuditOptionsFor(options),
-      /*complete=*/world.packet_capture()->dropped() == 0);
+  auditor.Detach();
+  const circus::obs::wire::AuditReport audit = auditor.Finish();
   // The bench doubles as an oracle run: legal traffic only.
   CIRCUS_CHECK(audit.violations.empty());
   CIRCUS_CHECK(audit.CompletedCalls() == static_cast<size_t>(calls));
@@ -237,7 +236,7 @@ int main(int argc, char** argv) {
               "window and completes in ~2 flights\nwhen nothing is "
               "lost.\n");
 
-  // E17: packets per call on the tapped wire, with and without the
+  // E17: packets per call on the audited wire, with and without the
   // postponed-acknowledgment win (Section 4.2.4). Back-to-back calls
   // let every return ride as the call's ack and every next call absorb
   // the previous return's ack; paced calls idle past the timeout and
@@ -249,7 +248,7 @@ int main(int argc, char** argv) {
   std::printf("%-13s %10s %10s %8s %10s %8s\n", "pacing", "packets",
               "bytes", "acks", "implicit", "retrans");
   for (const bool back_to_back : {true, false}) {
-    const WireCostRow row = RunTappedCalls(back_to_back, kWireCalls, 7707);
+    const WireCostRow row = RunAuditedCalls(back_to_back, kWireCalls, 7707);
     const char* pacing = back_to_back ? "back_to_back" : "paced";
     std::printf("%-13s %10.2f %10.1f %8.2f %10.2f %8.2f\n", pacing,
                 row.packets_per_call, row.bytes_per_call, row.acks_per_call,

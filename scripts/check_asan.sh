@@ -21,8 +21,8 @@ for t in build-asan/tests/*_test; do
   fi
 done
 
-# The wire-labeled slice (packet tap + Section 4.2 auditor) again via
-# ctest, case by case: a capture decode that trips ASan only in one
+# The wire-labeled slice (packet events in shards + Section 4.2 auditor)
+# again via ctest, case by case: a shard decode that trips ASan only in one
 # parameterized case is pinpointed here instead of vanishing into a
 # whole-binary FAIL above.
 if ! ctest --test-dir build-asan -L wire --output-on-failure >/dev/null; then

@@ -72,7 +72,6 @@ role = ringmaster
 listen = 127.0.0.1:38301
 stats_port = 38311
 trace_dir = $obs_dir
-tap_dir = $obs_dir
 EOF
 for m in 2 3; do
   cat >"$obs_dir/member$m.conf" <<EOF
@@ -83,7 +82,6 @@ troupe = echo
 interface = echo
 stats_port = 3831$m
 trace_dir = $obs_dir
-tap_dir = $obs_dir
 EOF
 done
 cat >"$obs_dir/client.conf" <<EOF
@@ -95,7 +93,6 @@ calls = 1000000
 payload = 64
 stats_port = 38314
 trace_dir = $obs_dir
-tap_dir = $obs_dir
 EOF
 
 # Members join sequentially (the first AddTroupeMember bootstraps the
@@ -324,29 +321,39 @@ EOF
 fi
 
 # --- wire audit round --------------------------------------------------
-# Every node also mirrored its datagrams into a tap capture (tap_dir=).
-# Decoding and auditing all four captures together must report zero
-# Section 4.2 violations — the live runtime's wire behaviour is held to
-# the same oracle the chaos sweep uses. (No --member flags here: members
+# Every node's trace shard also holds the datagrams it sent and received
+# (packet events). Decoding and auditing all four shards together must
+# report zero Section 4.2 violations over a complete capture — no shard
+# drops — so the live runtime's wire behaviour is held to the same
+# oracle the chaos sweep uses. (No --member flags here: members
 # legitimately exchange get_state during sequential joins.) The audit
 # also annotates the merged timeline with per-span wire cost.
 wire_rc=0
 "$wire_bin" --annotate "$obs_dir/merged.trace.json" \
   -o "$obs_dir/wire.trace.json" --no-conversations \
-  "$obs_dir"/*.tap.jsonl >"$obs_dir/wire.log" 2>&1 || wire_rc=$?
+  "$obs_dir"/*.trace.jsonl >"$obs_dir/wire.log" 2>&1 || wire_rc=$?
 if [ "$wire_rc" -ne 0 ]; then
-  echo "FAIL: circus_wire exited $wire_rc (violations or bad captures)"
+  echo "FAIL: circus_wire exited $wire_rc (violations or bad shards)"
   sed 's/^/  /' "$obs_dir/wire.log"
   obs_failures=$((obs_failures + 1))
 elif ! grep -q "wire audit: 0 violation" "$obs_dir/wire.log"; then
   echo "FAIL: circus_wire did not report a clean audit"
   sed 's/^/  /' "$obs_dir/wire.log"
   obs_failures=$((obs_failures + 1))
+elif grep -q "incomplete" "$obs_dir/wire.log" ||
+     grep -Eq "dropped=[1-9]" "$obs_dir/merge.log"; then
+  echo "FAIL: a shard dropped events; the wire audit is incomplete"
+  sed 's/^/  /' "$obs_dir/wire.log" "$obs_dir/merge.log"
+  obs_failures=$((obs_failures + 1))
+elif ! grep -Eq "records=[1-9]" "$obs_dir/wire.log"; then
+  echo "FAIL: the shards carried no packet events to audit"
+  sed 's/^/  /' "$obs_dir/wire.log"
+  obs_failures=$((obs_failures + 1))
 elif [ ! -s "$obs_dir/wire.trace.json" ]; then
   echo "FAIL: circus_wire produced no annotated timeline"
   obs_failures=$((obs_failures + 1))
 else
-  echo "PASS: wire audit clean over $(ls "$obs_dir"/*.tap.jsonl | wc -l) captures"
+  echo "PASS: wire audit clean and complete over $(ls "$obs_dir"/*.trace.jsonl | wc -l) trace shards"
 fi
 
 if [ "$obs_failures" -ne 0 ]; then

@@ -80,6 +80,9 @@ struct Harness {
   // monitor's packet check subscribes to kPacketSend (below).
   model::BusRecorderTap tap;
   obs::EventBus::SubscriberId monitor_sub = 0;
+  // The wire oracle (opts.audit_wire): audits every packet event of the
+  // run as it is published.
+  std::unique_ptr<obs::wire::WireAuditor> wire;
 
   binding::RingmasterDeployment ring;
   config::MachineDatabase database;
@@ -291,8 +294,8 @@ StatusOr<Reconfigurer::LaunchedMember> LaunchMember(Harness* h,
   m->process = std::make_unique<RpcProcess>(
       &h->world.network(), host,
       static_cast<net::Port>(9000 + m->serial), member_rpc);
-  // Recorded via the bus tap, not SetTraceRecorder: the determinism
-  // check consumes the same event stream every other observer sees.
+  // Recorded via the bus tap: the determinism check consumes the same
+  // event stream every other observer sees.
   const net::NetAddress address = m->process->process_address();
   h->tap.Attach(obs::PackAddress(address.host, address.port),
                 m->recorder.get());
@@ -347,9 +350,11 @@ Harness::Harness(const HarnessOptions& options)
       opts(options),
       tap(&world.bus()) {
   if (opts.audit_wire) {
-    // Ring-only capture (no path): every datagram of the run, audited
-    // against the Section 4.2 wire rules at the end of RunChaos.
-    world.CapturePackets();
+    // Every datagram of the run, audited against the Section 4.2 wire
+    // rules; RunChaos collects the verdict at the end.
+    wire = std::make_unique<obs::wire::WireAuditor>(
+        obs::wire::AuditOptionsFor(msg::EndpointOptions{}));
+    wire->Attach(&world.bus());
   }
   ring = binding::DeployRingmaster(world, world.AddHosts("ring", 1));
 
@@ -788,13 +793,11 @@ ChaosReport RunChaos(const Schedule& schedule, const HarnessOptions& options) {
     h.monitor.AddViolation("final convergence checks did not complete");
   }
 
-  // Wire-level oracle: replay the run's packet capture through the
-  // Section 4.2 auditor before the monitor closes out.
-  if (h.world.packet_capture() != nullptr) {
-    const net::WireTapWriter* capture = h.world.packet_capture();
-    const obs::wire::AuditReport wire = obs::wire::AuditRecords(
-        capture->Recent(), obs::wire::AuditOptionsFor(msg::EndpointOptions{}),
-        /*complete=*/capture->dropped() == 0);
+  // Wire-level oracle: close out the Section 4.2 audit of the run's
+  // packets before the monitor does.
+  if (h.wire != nullptr) {
+    h.wire->Detach();
+    const obs::wire::AuditReport wire = h.wire->Finish();
     constexpr size_t kMaxWireViolations = 10;
     for (size_t i = 0;
          i < wire.violations.size() && i < kMaxWireViolations; ++i) {

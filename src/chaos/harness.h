@@ -57,10 +57,9 @@ struct HarnessOptions {
   // keep the stricter quorum client).
   bool first_come_calls = false;
 
-  // Wire-level oracle: mirror every datagram into an in-memory capture
-  // (World::CapturePackets) and replay it through the Section 4.2 wire
-  // auditor (src/obs/wire.h) at the end of the run; auditor findings
-  // join the monitor's violations prefixed "wire: ".
+  // Wire-level oracle: stream every packet event on the World's bus
+  // through the Section 4.2 wire auditor (src/obs/wire.h); at the end of
+  // the run its findings join the monitor's violations prefixed "wire: ".
   bool audit_wire = true;
 
   // Negative-test knobs: each plants one specific bug the monitor must

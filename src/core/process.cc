@@ -173,7 +173,6 @@ Task<circus::StatusOr<circus::Bytes>> RpcProcess::Call(
   body.procedure = procedure;
   body.arguments = std::move(args);
   // Client-side history: the call event (Section 3.3.1).
-  RecordEvent(thread, model::MakeCall(module, procedure, body.arguments));
   PublishCallEvent(obs::EventKind::kCallIssue, thread, body.thread_seq,
                    module, procedure, &body.arguments,
                    server.members.size());
@@ -242,7 +241,6 @@ Task<circus::StatusOr<circus::Bytes>> RpcProcess::Call(
   circus::Bytes outcome =
       result.ok() ? *result
                   : circus::BytesFromString("!" + result.status().ToString());
-  RecordEvent(thread, model::MakeReturn(module, procedure, outcome));
   PublishCallEvent(obs::EventKind::kCallCollate, thread, body.thread_seq,
                    module, procedure, &outcome, result.ok() ? 1 : 0);
   co_return result;
@@ -534,9 +532,6 @@ Task<void> RpcProcess::HandleInbound(InboundKey key,
       // thread. Nested calls made by the handler are recorded between
       // this call event and its return event, giving exactly the
       // invocation-tree structure of Section 3.3.1.
-      RecordEvent(key.thread, model::MakeCall(first_body.module,
-                                              first_body.procedure,
-                                              ctx.arguments));
       PublishCallEvent(obs::EventKind::kExecuteBegin, key.thread,
                        key.thread_seq, first_body.module,
                        first_body.procedure, &ctx.arguments,
@@ -547,9 +542,6 @@ Task<void> RpcProcess::HandleInbound(InboundKey key,
           result.ok()
               ? *result
               : circus::BytesFromString("!" + result.status().ToString());
-      RecordEvent(key.thread, model::MakeReturn(first_body.module,
-                                                first_body.procedure,
-                                                outcome));
       PublishCallEvent(obs::EventKind::kExecuteEnd, key.thread,
                        key.thread_seq, first_body.module,
                        first_body.procedure, &outcome,

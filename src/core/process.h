@@ -33,7 +33,6 @@
 #include "src/core/collator.h"
 #include "src/core/types.h"
 #include "src/core/wire.h"
-#include "src/model/recorder.h"
 #include "src/msg/paired_endpoint.h"
 #include "src/net/socket.h"
 #include "src/obs/bus.h"
@@ -192,14 +191,6 @@ class RpcProcess {
     socket_->JoinGroup(group);
   }
 
-  // Attaches a trace recorder: the process records its per-thread
-  // execution history (outgoing calls/returns at the client side,
-  // executions at the server side), so that troupe members' behaviour
-  // can be compared for determinism (Sections 3.3 and 3.5.2).
-  void SetTraceRecorder(model::TraceRecorder* recorder) {
-    recorder_ = recorder;
-  }
-
   // The World's observability hub, reached through the network (null
   // outside a World). Layers built on top of RpcProcess (binding, txn)
   // publish their protocol events here.
@@ -269,16 +260,11 @@ class RpcProcess {
       std::function<void(const circus::Status&)> report);
   void InstallRuntimeModule();
 
-  void RecordEvent(const ThreadId& thread, model::Event event) {
-    if (recorder_ != nullptr) {
-      recorder_->Record(thread.ToString(), std::move(event));
-    }
-  }
-
   // Publishes a call-level event (issue/collate/execute) to the World's
   // bus; no-op when nobody subscribed. `payload` carries the marshalled
-  // arguments or result so bus subscribers see exactly what a directly
-  // attached TraceRecorder would.
+  // arguments or result, so a model::BusRecorderTap rebuilds the
+  // process's per-thread execution history (Sections 3.3 and 3.5.2)
+  // from these events alone.
   void PublishCallEvent(obs::EventKind kind, const ThreadId& thread,
                         uint32_t thread_seq, uint64_t module,
                         uint64_t procedure, const circus::Bytes* payload,
@@ -286,7 +272,6 @@ class RpcProcess {
 
   net::Fabric* fabric_;
   sim::Host* host_;
-  model::TraceRecorder* recorder_ = nullptr;
   obs::EventBus* bus_ = nullptr;  // cached from the network at construction
   obs::Histogram* collator_wait_metric_ = nullptr;
   RpcOptions options_;

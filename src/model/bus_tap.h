@@ -1,12 +1,11 @@
-// BusRecorderTap: rebuilds TraceRecorder histories from the obs event
-// bus instead of the RPC layer's wired-in recorder hook. The call-level
-// events (kCallIssue/kCallCollate/kExecuteBegin/kExecuteEnd) carry the
-// same (module, procedure, payload) triples the RPC layer hands to
-// RpcProcess::SetTraceRecorder, keyed by the same thread string, so a
-// tap attached for a process's origin address reproduces that process's
-// recorder byte-for-byte — which lets the chaos harness run its
-// Section 3.5.2 determinism checks off the bus like every other
-// observer, with no second instrumentation path to keep in sync.
+// BusRecorderTap: builds TraceRecorder histories from the obs event bus,
+// the one path by which the RPC layer reports them. The call-level
+// events (kCallIssue/kCallCollate/kExecuteBegin/kExecuteEnd) carry each
+// call's (module, procedure, payload) triple and its thread, so a tap
+// attached for a process's origin address records that process's
+// per-thread history (Section 3.3.1) — which lets the chaos harness and
+// tests run their Section 3.5.2 determinism checks off the bus like
+// every other observer.
 #ifndef SRC_MODEL_BUS_TAP_H_
 #define SRC_MODEL_BUS_TAP_H_
 

@@ -6,11 +6,29 @@
 
 namespace circus::net {
 
+namespace {
+
+obs::Event PacketEvent(obs::EventKind kind, sim::Host* local,
+                       const NetAddress& source,
+                       const NetAddress& destination,
+                       const circus::Bytes& payload) {
+  obs::Event e;
+  e.kind = kind;
+  e.host = static_cast<uint32_t>(local->id());
+  e.a = obs::PackAddress(source.host, source.port);
+  e.b = obs::PackAddress(destination.host, destination.port);
+  e.c = payload.size();
+  e.payload = payload;
+  return e;
+}
+
+}  // namespace
+
 void Fabric::Deliver(DatagramSocket* socket, Datagram d) {
-  if (tap_ != nullptr) {
-    Datagram seen = d;
-    seen.destination = socket->local_address();
-    tap_->Record(/*send=*/false, socket->host(), seen);
+  if (event_bus_ != nullptr && event_bus_->active()) {
+    event_bus_->Publish(PacketEvent(obs::EventKind::kPacketDeliver,
+                                    socket->host(), d.source,
+                                    socket->local_address(), d.payload));
   }
   socket->EnqueueIncoming(std::move(d));
 }
@@ -20,21 +38,10 @@ void Fabric::ObserveSend(sim::Host* sender, const Datagram& datagram) {
     suppress_send_observation_ = false;
     return;
   }
-  if (tap_ != nullptr) {
-    tap_->Record(/*send=*/true, sender, datagram);
-  }
-  if (observer_) {
-    observer_(datagram);
-  }
   if (event_bus_ != nullptr && event_bus_->active()) {
-    obs::Event e;
-    e.kind = obs::EventKind::kPacketSend;
-    e.host = static_cast<uint32_t>(sender->id());
-    e.a = obs::PackAddress(datagram.source.host, datagram.source.port);
-    e.b = obs::PackAddress(datagram.destination.host,
-                           datagram.destination.port);
-    e.c = datagram.payload.size();
-    event_bus_->Publish(std::move(e));
+    event_bus_->Publish(PacketEvent(obs::EventKind::kPacketSend, sender,
+                                    datagram.source, datagram.destination,
+                                    datagram.payload));
   }
 }
 

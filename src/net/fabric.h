@@ -8,7 +8,6 @@
 #define SRC_NET_FABRIC_H_
 
 #include <cstdint>
-#include <functional>
 
 #include "src/common/bytes.h"
 #include "src/common/status.h"
@@ -27,23 +26,6 @@ struct Datagram {
 
 class DatagramSocket;
 
-// Mirrors every datagram a fabric carries, in both directions. Unlike
-// the send-only PacketObserver below, a tap also sees deliveries, so a
-// capture records what each party actually put on — and took off — the
-// wire. net::WireTapWriter (src/net/tap.h) is the JSONL implementation.
-class PacketTap {
- public:
-  virtual ~PacketTap() = default;
-
-  // `send` is true when the datagram enters the wire (before any fault
-  // injection) and false when it is delivered to a socket on `local`.
-  // Delivery records carry the receiving socket's bound address as
-  // `datagram.destination`, even for multicast, so both fabrics name
-  // the local party identically.
-  virtual void Record(bool send, sim::Host* local,
-                      const Datagram& datagram) = 0;
-};
-
 class Fabric {
  public:
   // The largest datagram the fabric will carry (the MTU constraint of
@@ -59,29 +41,18 @@ class Fabric {
   // The (single) network address of an attached host.
   virtual HostAddress AddressOfHost(sim::Host::HostId id) const = 0;
 
-  // Invoked for every send operation before the packet enters the wire
-  // (and before any fault injection); useful for asserting properties
-  // such as "troupe members never talk to each other" (Section 4.3.3)
-  // and for the sim/real wire-parity golden test.
-  using PacketObserver = std::function<void(const Datagram&)>;
-  void SetPacketObserver(PacketObserver observer) {
-    observer_ = std::move(observer);
-  }
-
   // The runtime's observability hub, carried here so every layer that
   // can reach the fabric (sockets, endpoints, processes) can publish
   // events and bump metrics without new plumbing. Null outside a
-  // World / rt::Runtime.
+  // World / rt::Runtime. The fabric itself publishes one kPacketSend
+  // per send operation (before the packet enters the wire and before
+  // any fault injection) and one kPacketDeliver per datagram handed to
+  // a socket, each carrying the datagram: the one way to observe the
+  // wire, on either fabric.
   void set_event_bus(obs::EventBus* bus) { event_bus_ = bus; }
   obs::EventBus* event_bus() const { return event_bus_; }
   void set_metrics(obs::MetricsRegistry* metrics) { metrics_ = metrics; }
   obs::MetricsRegistry* metrics() const { return metrics_; }
-
-  // Installs a bidirectional packet tap (null detaches). The tap must
-  // outlive the fabric or be detached first; it sees every Transmit and
-  // every delivery into a socket's receive queue.
-  void set_packet_tap(PacketTap* tap) { tap_ = tap; }
-  PacketTap* packet_tap() const { return tap_; }
 
   // Restricts the range Bind draws port-0 allocations from (inclusive).
   // The default mirrors the IANA dynamic range.
@@ -113,27 +84,25 @@ class Fabric {
 
   // Bridge into the socket's (private) receive queue, so concrete
   // fabrics do not need to be friends of DatagramSocket themselves.
-  // Mirrors the datagram to the packet tap (with the receiving socket's
-  // bound address as destination) before enqueueing it.
+  // Publishes kPacketDeliver (with the receiving socket's bound address
+  // as destination) before enqueueing the datagram.
   void Deliver(DatagramSocket* socket, Datagram d);
 
-  // Shared send-side observation: tap + packet observer + kPacketSend.
+  // Shared send-side observation: publishes kPacketSend.
   void ObserveSend(sim::Host* sender, const Datagram& datagram);
 
   Port ephemeral_lo_ = 49152;
   Port ephemeral_hi_ = 65535;
 
  private:
-  PacketObserver observer_;
-  PacketTap* tap_ = nullptr;
   obs::EventBus* event_bus_ = nullptr;
   obs::MetricsRegistry* metrics_ = nullptr;
   // One-shot: set by FaultFabric immediately before re-injecting a
   // surviving/duplicated copy through Transmit, so the copy is not
   // observed a second time (the decorator already observed the original
-  // send, pre-fault, per the PacketTap contract). Cleared by the next
-  // ObserveSend. Safe because every fabric runs single-threaded on its
-  // executor and Transmit observes synchronously.
+  // send, pre-fault, so every send is seen exactly once). Cleared by
+  // the next ObserveSend. Safe because every fabric runs single-threaded
+  // on its executor and Transmit observes synchronously.
   bool suppress_send_observation_ = false;
 };
 

@@ -98,8 +98,8 @@ bool FaultFabric::PartitionBlocks(const Datagram& d) const {
 }
 
 void FaultFabric::Transmit(sim::Host* sender, Datagram datagram) {
-  // Observe on the inner fabric — that is where the tap, the packet
-  // observer, and the event bus live — exactly once, before any fault.
+  // Observe on the inner fabric — that is where the event bus lives —
+  // exactly once, before any fault.
   inner_->ObserveSend(sender, datagram);
   ++stats_.transmitted;
 

@@ -4,9 +4,8 @@
 // bidirectional partitions to every datagram transmitted through it.
 // Sockets are constructed on the decorator; Bind/Unbind/JoinGroup pass
 // straight through, so the inner fabric owns all addressing and delivery
-// (and all observability: taps, packet observers, and bus events stay
-// attached to the inner fabric and see each send exactly once, pre-fault,
-// per the PacketTap contract in fabric.h).
+// (and all observability: its bus sees one kPacketSend per send,
+// pre-fault, and one kPacketDeliver per copy actually delivered).
 //
 // Determinism: every injection decision is drawn from one sim::Rng in
 // transmit order — drop, then duplicate, then reorder, then jitter — so

@@ -19,20 +19,6 @@ World::~World() {
     host->Crash();
   }
   executor_.RunUntilIdle();
-  // The tap is destroyed before the network; make sure nothing dangles.
-  network_.set_packet_tap(nullptr);
-}
-
-WireTapWriter& World::CapturePackets(const std::string& path,
-                                     size_t capacity) {
-  WireTapInfo info;
-  info.node = "world";
-  info.clock = "sim";
-  tap_ = std::make_unique<WireTapWriter>(
-      path, std::move(info), [this] { return executor_.now().nanos(); },
-      capacity);
-  network_.set_packet_tap(tap_.get());
-  return *tap_;
 }
 
 sim::Host* World::AddHost(const std::string& name) {

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "src/net/network.h"
-#include "src/net/tap.h"
 #include "src/obs/bus.h"
 #include "src/obs/metrics.h"
 #include "src/obs/util.h"
@@ -57,16 +56,6 @@ class World {
     return network_.AddressOfHost(host->id());
   }
 
-  // Starts mirroring every datagram the network carries (both
-  // directions, simulated-clock timestamps) into a wire capture. An
-  // empty `path` keeps the capture in memory only — the chaos harness
-  // audits Recent() without touching disk. Returns the writer for
-  // Flush()/Recent(); it lives until the World is destroyed. Calling
-  // again replaces the capture.
-  WireTapWriter& CapturePackets(const std::string& path = "",
-                                size_t capacity = 1 << 16);
-  WireTapWriter* packet_capture() { return tap_.get(); }
-
   // Registers this world's resources on a utilization monitor: one
   // cpu.<host> per host added so far (call after topology is built),
   // the executor run queue, and the network (packets, bytes, losses,
@@ -89,7 +78,6 @@ class World {
   sim::Executor executor_;
   Network network_;
   sim::SyscallCostModel cost_model_;
-  std::unique_ptr<WireTapWriter> tap_;
   std::vector<std::unique_ptr<sim::Host>> hosts_;
   uint32_t next_host_index_ = 0;
 };

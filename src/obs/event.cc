@@ -68,12 +68,14 @@ const char* EventKindName(EventKind kind) {
       return "slow_call";
     case EventKind::kSaturation:
       return "saturation";
+    case EventKind::kPacketDeliver:
+      return "packet_deliver";
   }
   return "unknown";
 }
 
 bool EventKindFromName(std::string_view name, EventKind* out) {
-  for (uint8_t k = 0; k <= static_cast<uint8_t>(EventKind::kSaturation);
+  for (uint8_t k = 0; k <= static_cast<uint8_t>(kLastEventKind);
        ++k) {
     const auto kind = static_cast<EventKind>(k);
     if (name == EventKindName(kind)) {

@@ -28,9 +28,11 @@ namespace circus::obs {
 // What happened. The `a`/`b`/`c` fields of Event are kind-specific;
 // their meaning is documented per group below.
 enum class EventKind : uint8_t {
-  // --- net: one per send operation (multicast counts once) ---
-  // a = packed source address, b = packed destination address,
-  // c = payload bytes. (Pack: host << 16 | port.)
+  // --- net: one per send operation (multicast counts once), taken
+  // before any fault injection. a = packed source address, b = packed
+  // destination address (as addressed; may be a multicast group),
+  // c = payload bytes, payload = the datagram. (Pack: host << 16 | port.)
+  // Its delivery twin, kPacketDeliver, is at the end of the enum. ---
   kPacketSend = 0,
 
   // --- msg: paired message layer (origin = packed local address,
@@ -99,7 +101,22 @@ enum class EventKind : uint8_t {
                           // (detail = resource name, a = utilization in
                           // basis points, b = new level 0 ok / 1 high /
                           // 2 saturated, c = queue depth)
+
+  // --- net: one per datagram handed to a socket (a network-duplicated
+  //     datagram is delivered, and published, twice). Fields as
+  //     kPacketSend, except that b is the receiving socket's bound
+  //     address even when the datagram was addressed to a multicast
+  //     group, so every delivery names the local party on both fabrics.
+  //     Appended last so the earlier kinds keep their values. ---
+  kPacketDeliver,
 };
+
+constexpr EventKind kLastEventKind = EventKind::kPacketDeliver;
+
+// True for the two datagram kinds, whose payload is the datagram itself.
+constexpr bool IsPacketEvent(EventKind kind) {
+  return kind == EventKind::kPacketSend || kind == EventKind::kPacketDeliver;
+}
 
 // Stable lower_snake name for exports ("segment_send", "call_issue", ...).
 const char* EventKindName(EventKind kind);

@@ -5,6 +5,7 @@
 #include <tuple>
 #include <utility>
 
+#include "src/common/hexdump.h"
 #include "src/obs/json.h"
 
 namespace circus::obs {
@@ -42,7 +43,11 @@ json::Value EventToJson(const Event& e) {
   if (e.a != 0) obj.Set("a", e.a);
   if (e.b != 0) obj.Set("b", e.b);
   if (e.c != 0) obj.Set("c", e.c);
-  if (!e.payload.empty()) {
+  if (IsPacketEvent(e.kind)) {
+    // The datagram itself (c already carries its size): a trace shard
+    // doubles as the node's wire capture.
+    obj.Set("data", HexEncode(e.payload));
+  } else if (!e.payload.empty()) {
     obj.Set("payload_bytes", static_cast<uint64_t>(e.payload.size()));
   }
   if (!e.detail.empty()) {

@@ -25,6 +25,8 @@ namespace circus::obs {
 
 // The canonical JSONL rendering of one event (shared by ToJsonLines and
 // the trace-shard writer); EventFromJson in src/obs/shard.h inverts it.
+// Packet events carry their datagram as hex `data`; other kinds export
+// only their payload's size (`payload_bytes`).
 json::Value EventToJson(const Event& e);
 
 std::string ToJsonLines(const std::vector<Event>& events);

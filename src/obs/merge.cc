@@ -195,11 +195,11 @@ std::string MergeReport(const std::vector<ShardFile>& shards,
     const ShardInfo& info = shards[k].info;
     std::snprintf(
         line, sizeof(line),
-        "shard %zu: %s %s inc=%" PRIu64 " events=%zu shift=%+" PRId64
-        "ns%s%s\n",
+        "shard %zu: %s %s inc=%" PRIu64 " events=%zu dropped=%" PRIu64
+        " shift=%+" PRId64 "ns%s%s\n",
         k, info.node.empty() ? "?" : info.node.c_str(),
         info.address.empty() ? "?" : info.address.c_str(), info.incarnation,
-        shards[k].events.size(), result.shift_ns[k],
+        shards[k].events.size(), shards[k].dropped, result.shift_ns[k],
         k == result.reference ? " (reference)"
         : result.aligned[k]   ? ""
                               : " (UNALIGNED: no paired traffic)",

@@ -69,7 +69,8 @@ circus::StatusOr<MergeResult> MergeShards(const std::vector<ShardFile>& shards,
                                           size_t reference = 0);
 
 // Human-readable alignment report: one line per shard (shift, event
-// count) and one per pair (samples, offset, residual skew).
+// count, events the writer dropped) and one per pair (samples, offset,
+// residual skew).
 std::string MergeReport(const std::vector<ShardFile>& shards,
                         const MergeResult& result);
 

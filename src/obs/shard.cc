@@ -6,6 +6,7 @@
 #include <sstream>
 #include <utility>
 
+#include "src/common/hexdump.h"
 #include "src/obs/export.h"
 
 namespace circus::obs {
@@ -92,9 +93,11 @@ void ShardWriter::Observe(const Event& event) {
     return;
   }
   ++observed_;
-  recent_.push_back(event);
-  while (recent_.size() > capacity_) {
-    recent_.pop_front();
+  if (!IsPacketEvent(event.kind)) {
+    recent_.push_back(event);
+    while (recent_.size() > capacity_) {
+      recent_.pop_front();
+    }
   }
   if (file_ == nullptr) {
     return;
@@ -186,9 +189,16 @@ bool EventFromJson(const json::Value& value, Event* out) {
       detail != nullptr && detail->type() == json::Value::Type::kString) {
     e.detail = detail->as_string();
   }
-  // payload bytes are exported as a size only; the bytes themselves do
-  // not round-trip through a shard.
-  *out = e;
+  // Only packet events carry their payload bytes (hex `data`); other
+  // kinds export a size alone, so their payload does not round-trip.
+  if (IsPacketEvent(e.kind)) {
+    const json::Value* data = value.Find("data");
+    if (data == nullptr || data->type() != json::Value::Type::kString ||
+        !HexDecode(data->as_string(), &e.payload)) {
+      return false;
+    }
+  }
+  *out = std::move(e);
   return true;
 }
 
@@ -254,12 +264,14 @@ circus::StatusOr<ShardFile> ReadShardFile(const std::string& path) {
       have_header = true;
       continue;
     }
+    if (const json::Value* drop = parsed->Find("shard_drop")) {
+      shard.dropped += drop->AsU64();
+      continue;
+    }
     Event e;
     if (EventFromJson(*parsed, &e)) {
       shard.events.push_back(std::move(e));
-    } else if (parsed->Find("shard_drop") == nullptr) {
-      // Drop markers are expected non-event lines; anything else is a
-      // skip worth surfacing.
+    } else {
       ++shard.skipped_lines;
     }
   }

@@ -6,12 +6,16 @@
 // circus_node writes its own shard; circus_trace_merge (and the
 // functions in src/obs/merge.h) join N shards from N processes into one
 // Chrome trace, correlating by the propagated Section 3.4.1 thread ID.
+// Packet events carry their datagrams, so a shard is also the node's
+// wire capture: circus_wire audits shards (src/obs/wire.h).
 //
 // The writer buffers events in a bounded ring and appends to the file
 // only on Flush(), so a hot protocol path never blocks on disk I/O and
-// a wedged filesystem costs bounded memory. A crash between flushes
-// loses at most the unflushed tail; a crash *during* a flush leaves at
-// most one partial final line, which ReadShardFile tolerates by design.
+// a wedged filesystem costs bounded memory. Overflow drops the oldest
+// unflushed lines and leaves a counted {"shard_drop":N} marker, so a
+// reader knows the shard is incomplete. A crash between flushes loses
+// at most the unflushed tail; a crash *during* a flush leaves at most
+// one partial final line, which ReadShardFile tolerates by design.
 #ifndef SRC_OBS_SHARD_H_
 #define SRC_OBS_SHARD_H_
 
@@ -46,6 +50,8 @@ class ShardWriter {
   // retained for recent()/spans introspection but never hit disk.
   // `capacity` bounds both the recent-events ring and the unflushed
   // line buffer; overflow drops the oldest entries and counts them.
+  // Packet events go to the file only: the ring serves span queries,
+  // which never use them.
   ShardWriter(std::string path, ShardInfo info, size_t capacity = 8192);
   ShardWriter(const ShardWriter&) = delete;
   ShardWriter& operator=(const ShardWriter&) = delete;
@@ -74,8 +80,9 @@ class ShardWriter {
   bool ok() const {
     return path_.empty() || (file_ != nullptr && !header_write_failed_);
   }
-  // The most recent events, oldest first (bounded by `capacity`); the
-  // introspection endpoint assembles its `spans` reply from these.
+  // The most recent non-packet events, oldest first (bounded by
+  // `capacity`); the introspection endpoint assembles its `spans` reply
+  // from these.
   std::vector<Event> Recent() const;
   uint64_t observed() const { return observed_; }
   uint64_t dropped() const { return dropped_; }
@@ -115,6 +122,13 @@ struct ShardFile {
   // line (crash mid-flush) sets truncated_tail instead of failing.
   size_t skipped_lines = 0;
   bool truncated_tail = false;
+  uint64_t dropped = 0;  // sum of the file's {"shard_drop":N} markers
+
+  // False when events are missing: the writer dropped some, or lines
+  // were lost to a crash or did not parse.
+  bool complete() const {
+    return dropped == 0 && !truncated_tail && skipped_lines == 0;
+  }
 };
 
 // Reads and parses a shard. Fails only when the file cannot be read or

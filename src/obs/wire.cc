@@ -63,26 +63,26 @@ AuditOptions AuditOptionsFor(const msg::EndpointOptions& options) {
   return a;
 }
 
-std::vector<WireSegment> DecodeRecords(
-    const std::vector<net::WirePacket>& records, uint64_t* undecodable) {
-  std::vector<WireSegment> out;
-  out.reserve(records.size());
-  for (const net::WirePacket& p : records) {
-    std::optional<msg::Segment> seg = msg::Segment::Decode(p.payload);
-    if (!seg.has_value()) {
-      if (undecodable != nullptr) {
-        ++*undecodable;
-      }
-      continue;
-    }
-    WireSegment ws;
-    ws.packet = p;
-    ws.segment = *std::move(seg);
-    ws.node = p.send ? p.source : p.destination;
-    ws.remote = p.send ? p.destination : p.source;
-    out.push_back(std::move(ws));
+std::optional<WireSegment> DecodePacket(const Event& event) {
+  if (!IsPacketEvent(event.kind)) {
+    return std::nullopt;
   }
-  return out;
+  std::optional<msg::Segment> seg = msg::Segment::Decode(event.payload);
+  if (!seg.has_value()) {
+    return std::nullopt;
+  }
+  const net::NetAddress source{PackedAddressHost(event.a),
+                               PackedAddressPort(event.a)};
+  const net::NetAddress destination{PackedAddressHost(event.b),
+                                    PackedAddressPort(event.b)};
+  WireSegment ws;
+  ws.time_ns = event.time_ns;
+  ws.send = event.kind == EventKind::kPacketSend;
+  ws.bytes = event.payload.size();
+  ws.segment = *std::move(seg);
+  ws.node = ws.send ? source : destination;
+  ws.remote = ws.send ? destination : source;
+  return ws;
 }
 
 WireCost AuditReport::Totals() const {
@@ -181,12 +181,12 @@ Conversation& WireAuditor::ConversationFor(NodeState& state,
     c.caller = caller;
   }
   NoteRemote(c, ws.remote);
-  if (ws.packet.send) {
+  if (ws.send) {
     ++c.cost.packets_sent;
-    c.cost.bytes_sent += ws.packet.payload.size();
+    c.cost.bytes_sent += ws.bytes;
   } else {
     ++c.cost.packets_received;
-    c.cost.bytes_received += ws.packet.payload.size();
+    c.cost.bytes_received += ws.bytes;
   }
   return c;
 }
@@ -195,13 +195,13 @@ void WireAuditor::AddViolation(const WireSegment& ws,
                                const std::string& what) {
   char prefix[96];
   std::snprintf(prefix, sizeof(prefix), "%s t=%" PRId64 "ns ",
-                ws.node.ToString().c_str(), ws.packet.time_ns);
+                ws.node.ToString().c_str(), ws.time_ns);
   report_.violations.push_back(prefix + what);
 }
 
 void WireAuditor::ObserveSendRecord(NodeState& state, const WireSegment& ws) {
   const msg::Segment& seg = ws.segment;
-  const int64_t t = ws.packet.time_ns;
+  const int64_t t = ws.time_ns;
   char buf[192];
 
   if (!members_.empty() && members_.count(ws.node) != 0 &&
@@ -370,7 +370,7 @@ void WireAuditor::ObserveSendRecord(NodeState& state, const WireSegment& ws) {
 
 void WireAuditor::ObserveRecvRecord(NodeState& state, const WireSegment& ws) {
   const msg::Segment& seg = ws.segment;
-  state.last_heard[ws.remote] = ws.packet.time_ns;
+  state.last_heard[ws.remote] = ws.time_ns;
   char buf[192];
 
   if (seg.ack) {
@@ -457,46 +457,66 @@ void WireAuditor::ObserveRecvRecord(NodeState& state, const WireSegment& ws) {
   }
 }
 
-void WireAuditor::AddRecords(const std::vector<net::WirePacket>& records,
-                             bool complete) {
+WireAuditor::~WireAuditor() { Detach(); }
+
+void WireAuditor::Attach(EventBus* bus) {
+  Detach();
+  bus_ = bus;
+  subscriber_id_ = bus_->Subscribe([this](const Event& e) { Observe(e); });
+}
+
+void WireAuditor::Detach() {
+  if (bus_ != nullptr) {
+    bus_->Unsubscribe(subscriber_id_);
+    bus_ = nullptr;
+  }
+}
+
+void WireAuditor::Observe(const Event& event, bool complete) {
   if (!complete) {
     report_.complete = false;
   }
-  std::vector<WireSegment> decoded =
-      DecodeRecords(records, &report_.undecodable);
-  report_.records += records.size();
-  for (const net::WirePacket& p : records) {
-    if (p.send) {
-      ++report_.packets;
-      report_.bytes += p.payload.size();
-    }
+  if (!IsPacketEvent(event.kind)) {
+    return;
   }
-  for (const WireSegment& ws : decoded) {
-    NodeState& state = nodes_[ws.node];
-    if (!complete) {
-      state.complete = false;
-    }
-    if (ws.packet.send) {
-      ObserveSendRecord(state, ws);
-      // Track returns-in-flight for implicit-ack accounting.
-      if (ws.segment.type == msg::MessageType::kReturn &&
-          ws.segment.is_data()) {
-        Conversation& c =
-            state.conversations[{ws.segment.call_number, false}];
-        if (c.phase != Conversation::Phase::kDone) {
-          state.pending_returns[ws.remote].insert(ws.segment.call_number);
-        }
-      }
-    } else {
-      ObserveRecvRecord(state, ws);
+  ++report_.records;
+  const bool send = event.kind == EventKind::kPacketSend;
+  if (send) {
+    ++report_.packets;
+    report_.bytes += event.payload.size();
+  }
+  const std::optional<WireSegment> decoded = DecodePacket(event);
+  if (!decoded.has_value()) {
+    ++report_.undecodable;
+    return;
+  }
+  const WireSegment& ws = *decoded;
+  NodeState& state = nodes_[ws.node];
+  if (!complete) {
+    state.complete = false;
+  }
+  if (!send) {
+    ObserveRecvRecord(state, ws);
+    return;
+  }
+  ObserveSendRecord(state, ws);
+  // Track returns-in-flight for implicit-ack accounting.
+  if (ws.segment.type == msg::MessageType::kReturn && ws.segment.is_data()) {
+    Conversation& c = state.conversations[{ws.segment.call_number, false}];
+    if (c.phase != Conversation::Phase::kDone) {
+      state.pending_returns[ws.remote].insert(ws.segment.call_number);
     }
   }
 }
 
-void WireAuditor::AddCapture(const net::WireCaptureFile& capture) {
-  AddRecords(capture.records, capture.dropped == 0 &&
-                                  !capture.truncated_tail &&
-                                  capture.skipped_lines == 0);
+void WireAuditor::AddShard(const ShardFile& shard) {
+  const bool complete = shard.complete();
+  if (!complete) {
+    report_.complete = false;
+  }
+  for (const Event& e : shard.events) {
+    Observe(e, complete);
+  }
 }
 
 AuditReport WireAuditor::Finish() {
@@ -521,23 +541,15 @@ AuditReport WireAuditor::Finish() {
   return report;
 }
 
-AuditReport AuditRecords(const std::vector<net::WirePacket>& records,
-                         const AuditOptions& options, bool complete) {
-  WireAuditor auditor(options);
-  auditor.AddRecords(records, complete);
-  return auditor.Finish();
-}
-
-circus::StatusOr<AuditReport> AuditCaptureFiles(
+circus::StatusOr<AuditReport> AuditShardFiles(
     const std::vector<std::string>& paths, const AuditOptions& options) {
   WireAuditor auditor(options);
   for (const std::string& path : paths) {
-    circus::StatusOr<net::WireCaptureFile> capture =
-        net::ReadWireCaptureFile(path);
-    if (!capture.ok()) {
-      return capture.status();
+    circus::StatusOr<ShardFile> shard = ReadShardFile(path);
+    if (!shard.ok()) {
+      return shard.status();
     }
-    auditor.AddCapture(*capture);
+    auditor.AddShard(*shard);
   }
   return auditor.Finish();
 }

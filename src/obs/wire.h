@@ -1,6 +1,8 @@
-// Wire-level decode and audit of Fabric packet captures (src/net/tap.h).
+// Wire-level decode and audit of the fabric's packet events
+// (obs::EventKind::kPacketSend / kPacketDeliver, which carry the
+// datagram), read live off an event bus or from trace shards.
 //
-// The decoder parses each captured datagram back into a msg::Segment
+// The decoder parses each packet event back into a msg::Segment
 // and attributes it to the local party that sent or received it; the
 // auditor then reconstructs per-(pair, call_number) conversation state
 // machines and replays every conversation against the Section 4.2
@@ -25,13 +27,15 @@
 //
 // The auditor is deliberately conservative: checks that would need a
 // complete view of the traffic (ack validity, delivery gaps, probe
-// silence budgets) are skipped for nodes whose capture recorded drops,
-// so a bounded capture never manufactures violations.
+// silence budgets) are skipped for nodes whose shard is incomplete
+// (recorded drops, a truncated tail, or skipped lines), so a bounded
+// shard never manufactures violations.
 #ifndef SRC_OBS_WIRE_H_
 #define SRC_OBS_WIRE_H_
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -40,7 +44,9 @@
 #include "src/msg/paired_endpoint.h"
 #include "src/msg/segment.h"
 #include "src/net/address.h"
-#include "src/net/tap.h"
+#include "src/obs/bus.h"
+#include "src/obs/event.h"
+#include "src/obs/shard.h"
 
 namespace circus::obs::wire {
 
@@ -62,22 +68,23 @@ struct AuditOptions {
 // usable default — floors of 0 disable the timing checks).
 AuditOptions AuditOptionsFor(const msg::EndpointOptions& options);
 
-// One capture record decoded back into a segment, attributed to the
-// capturing party: `node` is the local endpoint (source on a send,
+// One packet event decoded back into a segment, attributed to the
+// observing party: `node` is the local endpoint (source on a send,
 // destination on a delivery) and `remote` the other side (which is the
 // group address on a multicast send).
 struct WireSegment {
-  net::WirePacket packet;
+  int64_t time_ns = 0;
+  bool send = false;  // kPacketSend: entered the wire; else delivered
+  size_t bytes = 0;   // datagram size
   msg::Segment segment;
   net::NetAddress node;
   net::NetAddress remote;
 };
 
-// Parses records into segments. Non-segment datagrams (e.g. the rt
-// stats endpoint's text replies sharing a tapped process) bump
-// `*undecodable` and are skipped.
-std::vector<WireSegment> DecodeRecords(
-    const std::vector<net::WirePacket>& records, uint64_t* undecodable);
+// Decodes a packet event. nullopt for other event kinds and for
+// datagrams that are not segments (e.g. the rt stats endpoint's text
+// replies sharing an observed process).
+std::optional<WireSegment> DecodePacket(const Event& event);
 
 // Wire cost of one conversation, seen from its node.
 struct WireCost {
@@ -96,10 +103,10 @@ struct WireCost {
   uint64_t implicit_acks = 0;
 };
 
-// One reconstructed conversation: the view one node's capture gives of
+// One reconstructed conversation: the view one node's packets give of
 // the exchange with call number `call_number`. A caller-view
 // conversation covers the outbound call and inbound return; a
-// callee-view conversation the inverse. In a whole-world capture a
+// callee-view conversation the inverse. In a whole-world stream a
 // replicated call appears as one caller view on the client node plus
 // one callee view per member.
 struct Conversation {
@@ -123,11 +130,11 @@ struct AuditReport {
   std::vector<std::string> violations;
   // Sorted by (node, call_number, caller-view-first).
   std::vector<Conversation> conversations;
-  uint64_t records = 0;
-  uint64_t packets = 0;  // send records
+  uint64_t records = 0;  // packet events, both directions
+  uint64_t packets = 0;  // send events
   uint64_t bytes = 0;    // send payload bytes
   uint64_t undecodable = 0;
-  // False when any audited capture recorded drops; completeness-
+  // False when any audited source was incomplete; completeness-
   // dependent checks were skipped for the affected nodes.
   bool complete = true;
 
@@ -136,24 +143,34 @@ struct AuditReport {
 
   // Deterministic multi-line rendering: summary, totals, violations,
   // then one line per conversation. Byte-identical for byte-identical
-  // captures; `max_violations` bounds the violation listing (the full
+  // inputs; `max_violations` bounds the violation listing (the full
   // list stays in `violations`).
   std::string Render(size_t max_violations = 50,
                      bool include_conversations = true) const;
 };
 
-// Streaming auditor: feed record batches (a whole-world sim capture,
-// or one per-process capture per call), then Finish().
+// Streaming auditor: feed packet events one at a time — live from a bus
+// (a whole sim World, or one rt process) or from trace shards — then
+// Finish(). Events of other kinds are ignored, so a whole shard or bus
+// stream can be fed as is.
 class WireAuditor {
  public:
   explicit WireAuditor(AuditOptions options);
+  WireAuditor(const WireAuditor&) = delete;
+  WireAuditor& operator=(const WireAuditor&) = delete;
+  ~WireAuditor();
 
-  // `complete` is false when the source capture dropped records; the
-  // nodes appearing in this batch then keep only their drop-tolerant
-  // checks. Records must be in capture order (time order per node).
-  void AddRecords(const std::vector<net::WirePacket>& records,
-                  bool complete = true);
-  void AddCapture(const net::WireCaptureFile& capture);
+  // Subscribes to `bus` (which must outlive the attachment) and audits
+  // every packet event as it is published.
+  void Attach(EventBus* bus);
+  void Detach();
+
+  // `complete` is false when the event's source lost events; the
+  // event's node then keeps only its drop-tolerant checks. Events must
+  // arrive in publish order (time order per node).
+  void Observe(const Event& event, bool complete = true);
+  // Audits a shard's events, as incomplete unless shard.complete().
+  void AddShard(const ShardFile& shard);
 
   AuditReport Finish();
 
@@ -205,20 +222,17 @@ class WireAuditor {
   void AddViolation(const WireSegment& ws, const std::string& what);
 
   AuditOptions options_;
+  EventBus* bus_ = nullptr;
+  EventBus::SubscriberId subscriber_id_ = 0;
   std::set<net::NetAddress> members_;
   std::set<std::pair<net::NetAddress, net::NetAddress>> member_pairs_seen_;
   std::map<net::NetAddress, NodeState> nodes_;
   AuditReport report_;
 };
 
-// Convenience: audit one in-memory batch (the chaos harness's
-// whole-world ring capture).
-AuditReport AuditRecords(const std::vector<net::WirePacket>& records,
-                         const AuditOptions& options, bool complete = true);
-
-// Convenience: read and audit capture files together (the circus_wire
-// CLI path). Fails if any file cannot be read or is not a capture.
-circus::StatusOr<AuditReport> AuditCaptureFiles(
+// Convenience: read and audit trace shards together (the circus_wire
+// CLI path). Fails if any file cannot be read or is not a shard.
+circus::StatusOr<AuditReport> AuditShardFiles(
     const std::vector<std::string>& paths, const AuditOptions& options);
 
 }  // namespace circus::obs::wire

@@ -156,13 +156,6 @@ std::string MetricsPathFor(const NodeConfig& config) {
   return config.trace_dir + "/" + config.DisplayName() + ".metrics.prom";
 }
 
-std::string TapPathFor(const NodeConfig& config) {
-  if (config.tap_dir.empty()) {
-    return "";
-  }
-  return config.tap_dir + "/" + config.DisplayName() + ".tap.jsonl";
-}
-
 NodeObservability::NodeObservability(Runtime* runtime, sim::Host* host,
                                      const NodeConfig& config)
     : runtime_(runtime), config_(config) {
@@ -186,25 +179,10 @@ NodeObservability::NodeObservability(Runtime* runtime, sim::Host* host,
   }
   shard_->Attach(&runtime->bus());
 
-  const std::string tap_path = TapPathFor(config);
-  if (!tap_path.empty()) {
-    net::WireTapInfo tap_info;
-    tap_info.node = config.DisplayName();
-    tap_info.clock = "realtime";
-    tap_ = std::make_unique<net::WireTapWriter>(
-        tap_path, std::move(tap_info),
-        [runtime] { return runtime->now().nanos(); }, kNodeShardCapacity);
-    if (!tap_->ok() && status_.ok()) {
-      status_ = circus::Status(circus::ErrorCode::kUnavailable,
-                               "cannot write packet capture " + tap_->path());
-    }
-    runtime->fabric().set_packet_tap(tap_.get());
-  }
-
   WireUtilizationProbes();
   SampleUtilization();  // baseline every probe at construction
 
-  // Always spawned: beyond shard/tap flushing it drives the 250 ms
+  // Always spawned: beyond shard flushing it drives the 250 ms
   // utilization sampling that feeds kSaturation events, the health
   // `load` grade, and the `util` query.
   host->Spawn(PeriodicFlush(this, host));
@@ -225,12 +203,7 @@ NodeObservability::NodeObservability(Runtime* runtime, sim::Host* host,
   }
 }
 
-NodeObservability::~NodeObservability() {
-  if (tap_ != nullptr) {
-    runtime_->fabric().set_packet_tap(nullptr);
-  }
-  FlushShard();
-}
+NodeObservability::~NodeObservability() { FlushShard(); }
 
 void NodeObservability::WireUtilizationProbes() {
   monitor_.SetBus(&runtime_->bus());
@@ -360,12 +333,6 @@ void NodeObservability::FlushShard() {
   circus::Status flushed = shard_->Flush();
   if (!flushed.ok() && status_.ok()) {
     status_ = flushed;
-  }
-  if (tap_ != nullptr) {
-    circus::Status tapped = tap_->Flush();
-    if (!tapped.ok() && status_.ok()) {
-      status_ = tapped;
-    }
   }
 }
 

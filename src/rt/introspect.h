@@ -6,7 +6,10 @@
 //
 //  * a ShardWriter subscribed to the runtime's bus — a bounded ring of
 //    recent events always, plus a JSONL trace shard on disk when the
-//    config sets trace_dir= (flushed periodically and at shutdown);
+//    config sets trace_dir= (flushed periodically and at shutdown). The
+//    shard also holds every datagram this process sends or receives
+//    (packet events), so it doubles as the node's wire capture, decoded
+//    and audited by circus_wire;
 //  * a UDP stats socket (stats_port=) answering single-datagram text
 //    queries with single-datagram text replies:
 //        metrics  -> Prometheus exposition of the MetricsRegistry
@@ -26,10 +29,7 @@
 //    reply's first
 //    line is `chunk <offset> <next>` (next = "end" on the last chunk)
 //    and the rest is the bytes of the full text starting at <offset> —
-//    re-query with <next> until "end" and concatenate;
-//  * a net::Fabric packet tap mirroring every datagram this process
-//    sends or receives into <tap_dir>/<node_name>.tap.jsonl when the
-//    config sets tap_dir= (decoded and audited by circus_wire).
+//    re-query with <next> until "end" and concatenate.
 //
 // The serve loop runs as a coroutine on the node's host, so a host
 // crash reaps it exactly like any protocol task.
@@ -44,7 +44,6 @@
 #include "src/core/process.h"
 #include "src/net/fault_fabric.h"
 #include "src/net/socket.h"
-#include "src/net/tap.h"
 #include "src/obs/latency.h"
 #include "src/obs/shard.h"
 #include "src/obs/util.h"
@@ -60,9 +59,6 @@ std::string ShardPathFor(const NodeConfig& config);
 // Companion path for the final metrics snapshot:
 // <trace_dir>/<display name>.metrics.prom
 std::string MetricsPathFor(const NodeConfig& config);
-// Packet-capture path derived from tap_dir; empty when capture is off:
-// <tap_dir>/<display name>.tap.jsonl
-std::string TapPathFor(const NodeConfig& config);
 
 class NodeObservability {
  public:
@@ -103,8 +99,6 @@ class NodeObservability {
   // periodic flush task drives this every 250 ms; exposed so tests and
   // shutdown paths can force a fresh reading.
   void SampleUtilization();
-  // The packet capture, or nullptr when tap_dir is unset.
-  net::WireTapWriter* tap() { return tap_.get(); }
   // The node's stage-level latency attributor (always attached; the
   // `latency` query and the slow-call dump read from it).
   obs::LatencyAttributor& latency() { return *attributor_; }
@@ -140,7 +134,6 @@ class NodeObservability {
   std::unique_ptr<obs::LatencyAttributor> attributor_;
   obs::UtilizationMonitor monitor_;
   std::unique_ptr<obs::ShardWriter> shard_;
-  std::unique_ptr<net::WireTapWriter> tap_;
   std::unique_ptr<net::DatagramSocket> stats_socket_;
   circus::Status status_;
   circus::Status stats_status_;

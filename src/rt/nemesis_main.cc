@@ -5,7 +5,7 @@
 // executes it against the *real* processes:
 //
 //   kCrashMember   SIGKILL a member, restart it 3 s later under a new
-//                  node_name (fresh trace shard + capture, same listen
+//                  node_name (fresh trace shard, same listen
 //                  port — the clock-seeded identifier rule is what
 //                  keeps peers' duplicate suppression from eating the
 //                  reborn process's calls);
@@ -21,8 +21,9 @@
 //   1. convergence — a fresh unanimous-collation client calls the
 //      counter procedure; unanimous collation fails unless every
 //      member (including any restarted one) returns identical state;
-//   2. wire audit — every incarnation's packet capture, in spawn
-//      order, replayed through the obs::wire Section 4.2 auditor.
+//   2. wire audit — every incarnation's trace shard (which carries its
+//      packets), in spawn order, replayed through the obs::wire
+//      Section 4.2 auditor.
 //
 // The availability line parsed from the resilient client
 // (calls=/ok=/failed=) plus both oracle results go to a JSON summary
@@ -132,7 +133,7 @@ struct NodeProc {
   pid_t pid = -1;
   int restarts = 0;
   bool expect_death = false;  // we SIGKILLed it; a restart is scheduled
-  std::vector<std::string> captures;  // tap paths, in incarnation order
+  std::vector<std::string> shards;  // trace shards, in incarnation order
 };
 
 struct Testbed {
@@ -160,9 +161,9 @@ std::string LogPath(const Testbed& bed, const NodeProc& node) {
 }
 
 // Writes the incarnation's config file and returns its path. Every
-// incarnation gets a distinct node_name so its trace shard and packet
-// capture land in fresh files instead of clobbering the ones its
-// SIGKILLed predecessor left behind (the audit wants both).
+// incarnation gets a distinct node_name so its trace shard lands in a
+// fresh file instead of clobbering the one its SIGKILLed predecessor
+// left behind (the audit wants both).
 std::string WriteConfig(const Testbed& bed, const NodeProc& node,
                         uint64_t fault_seed) {
   const std::string name = IncarnationName(node);
@@ -175,8 +176,7 @@ std::string WriteConfig(const Testbed& bed, const NodeProc& node,
   }
   std::fprintf(f, "role = %s\nlisten = 127.0.0.1:%u\nnode_name = %s\n",
                node.role.c_str(), node.port, name.c_str());
-  std::fprintf(f, "trace_dir = %s\ntap_dir = %s\n", bed.dir.c_str(),
-               bed.dir.c_str());
+  std::fprintf(f, "trace_dir = %s\n", bed.dir.c_str());
   if (node.stats_port != 0) {
     std::fprintf(f, "stats_port = %u\n", node.stats_port);
   }
@@ -218,8 +218,8 @@ void SpawnNode(Testbed& bed, NodeProc& node) {
   const std::string conf = WriteConfig(bed, node, fault_seed);
   node.pid = SpawnProcess(bed.bin, conf, LogPath(bed, node));
   node.expect_death = false;
-  node.captures.push_back(bed.dir + "/" + IncarnationName(node) +
-                          ".tap.jsonl");
+  node.shards.push_back(bed.dir + "/" + IncarnationName(node) +
+                        ".trace.jsonl");
 }
 
 std::vector<NodeProc*> AllNodes(Testbed& bed) {
@@ -359,7 +359,7 @@ struct RunResult {
   uint64_t audit_records = 0;
   size_t completed_calls = 0;
   bool audit_complete = true;
-  size_t captures = 0;
+  size_t captures = 0;  // trace shards audited
   size_t unexpected_deaths = 0;
   double wall_s = 0.0;
 
@@ -518,11 +518,11 @@ bool RunConvergenceClient(Testbed& bed, int attempt) {
     waitpid(verify.pid, nullptr, 0);
   }
   verify.pid = -1;
-  // Fold the verifier's capture into the audit set: its calls are
+  // Fold the verifier's shard into the audit set: its calls are
   // protocol traffic like any other and must survive the same rules.
   if (code == 0) {
-    bed.client.captures.push_back(bed.dir + "/" + verify.base_name +
-                                  ".tap.jsonl");
+    bed.client.shards.push_back(bed.dir + "/" + verify.base_name +
+                                ".trace.jsonl");
   }
   return code == 0;
 }
@@ -905,30 +905,31 @@ int Main(int argc, char** argv) {
                  client_log.c_str());
   }
 
-  // Capture paths in spawn order: per node, each incarnation after its
+  // Shard paths in spawn order: per node, each incarnation after its
   // predecessor, so the auditor sees an incarnation's traffic in time
   // order (this is what lets it check call-identifier reuse across the
-  // SIGKILL/restart boundary). A capture a SIGKILL caught before its
-  // first flush may be empty; skip those rather than fail the read.
-  std::vector<std::string> capture_paths;
+  // SIGKILL/restart boundary). A process that died before opening its
+  // shard leaves an empty or missing file; skip those rather than fail
+  // the read.
+  std::vector<std::string> shard_paths;
   for (NodeProc* node : AllNodes(bed)) {
-    for (const std::string& path : node->captures) {
+    for (const std::string& path : node->shards) {
       if (FileSize(path) > 0) {
-        capture_paths.push_back(path);
+        shard_paths.push_back(path);
       } else {
-        std::fprintf(stderr, "nemesis: skipping empty capture %s\n",
+        std::fprintf(stderr, "nemesis: skipping empty shard %s\n",
                      path.c_str());
       }
     }
   }
-  result.captures = capture_paths.size();
+  result.captures = shard_paths.size();
   // Default endpoint options are what circus_node runs with. The member
   // address list stays empty: members legitimately exchange get_state
   // during joins and rejoins, which the member-to-member check would
   // misread as a Section 4.3.3 violation.
   circus::StatusOr<obs::wire::AuditReport> audit =
-      obs::wire::AuditCaptureFiles(
-          capture_paths, obs::wire::AuditOptionsFor(msg::EndpointOptions{}));
+      obs::wire::AuditShardFiles(
+          shard_paths, obs::wire::AuditOptionsFor(msg::EndpointOptions{}));
   if (!audit.ok()) {
     std::fprintf(stderr, "nemesis: audit failed: %s\n",
                  audit.status().ToString().c_str());

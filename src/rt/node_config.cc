@@ -125,8 +125,6 @@ circus::StatusOr<NodeConfig> ParseNodeConfig(const std::string& text) {
       config.node_name = value;
     } else if (key == "trace_dir") {
       config.trace_dir = value;
-    } else if (key == "tap_dir") {
-      config.tap_dir = value;
     } else if (key == "stats_port" || key == "faults_port") {
       circus::StatusOr<int> v = ParseInt(key, value);
       if (!v.ok()) {

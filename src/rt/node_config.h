@@ -17,10 +17,8 @@
 //   slow_call_us = 0               # dump calls slower than this to the
 //                                  # trace shard as slow_call events;
 //                                  # 0 = disabled
-//   trace_dir =                    # write <node_name>.trace.jsonl here;
-//                                  # empty = no trace shard
-//   tap_dir =                      # write <node_name>.tap.jsonl packet
-//                                  # capture here; empty = no tap
+//   trace_dir =                    # write <node_name>.trace.jsonl here
+//                                  # (events + packets); empty = none
 //   faults_port = 0                # UDP fault-injection control port;
 //                                  # 0 = no fault fabric
 //   fault_seed = 0                 # FaultFabric decision-stream seed
@@ -57,7 +55,6 @@ struct NodeConfig {
   net::Port stats_port = 0;     // 0: no introspection endpoint
   int slow_call_us = 0;         // 0: no slow-call dump
   std::string trace_dir;        // empty: no trace shard
-  std::string tap_dir;          // empty: no packet capture
   net::Port faults_port = 0;    // 0: no fault-injection control endpoint
   uint64_t fault_seed = 0;      // decision-stream seed for the FaultFabric
   bool resilient = false;       // client keeps calling through failures

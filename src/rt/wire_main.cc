@@ -1,25 +1,27 @@
-// circus_wire: decodes and audits Fabric packet captures against the
-// Section 4.2 paired-message protocol rules.
+// circus_wire: decodes the packet events in trace shards and audits them
+// against the Section 4.2 paired-message protocol rules.
 //
-//   circus_wire [options] capture.tap.jsonl...
+//   circus_wire [options] node.trace.jsonl...
 //     --member A.B.C.D:P    troupe member address (repeatable; enables
 //                           the Section 4.3.3 member-to-member check)
 //     --annotate IN.json    circus_trace_merge output to annotate: every
 //                           "call" span gains wire_packets / wire_bytes /
 //                           wire_data / wire_retransmits / wire_acks /
-//                           wire_probes args counting the tapped send
-//                           records inside its time window
+//                           wire_probes args counting the packet send
+//                           events inside its time window
 //     -o OUT.json           annotated trace output (default
 //                           wire.trace.json)
 //     --no-conversations    omit the per-conversation rollup lines
 //
-// Captures come from circus_node (tap_dir=) or World::CapturePackets.
-// The audit report goes to stdout. Exit codes: 0 clean, 1 the auditor
-// found protocol violations, 2 usage/input error.
+// Shards come from circus_node (trace_dir=) or from any ShardWriter on a
+// World's bus; a shard the writer dropped lines from is audited as
+// incomplete. The audit report goes to stdout. Exit codes: 0 clean, 1
+// the auditor found protocol violations, 2 usage/input error.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -29,13 +31,14 @@
 #include "src/msg/paired_endpoint.h"
 #include "src/obs/export.h"
 #include "src/obs/json.h"
+#include "src/obs/shard.h"
 #include "src/obs/wire.h"
 #include "src/rt/node_config.h"
 
 namespace circus::rt {
 namespace {
 
-// One classified send record, for span annotation.
+// One classified send event, for span annotation.
 struct SendSample {
   int64_t time_ns = 0;
   uint64_t bytes = 0;
@@ -52,12 +55,12 @@ std::vector<SendSample> ClassifySends(
                       uint8_t>>
       seen;
   for (const obs::wire::WireSegment& ws : decoded) {
-    if (!ws.packet.send) {
+    if (!ws.send) {
       continue;
     }
     SendSample s;
-    s.time_ns = ws.packet.time_ns;
-    s.bytes = ws.packet.payload.size();
+    s.time_ns = ws.time_ns;
+    s.bytes = ws.bytes;
     if (ws.segment.ack) {
       s.ack = true;
     } else if (ws.segment.is_probe()) {
@@ -180,8 +183,8 @@ int Annotate(const std::string& in_path, const std::string& out_path,
 int Main(int argc, char** argv) {
   constexpr char kUsage[] =
       "usage: circus_wire [--member addr]... [--annotate merged.json "
-      "[-o out.json]] [--no-conversations] capture.tap.jsonl...\n";
-  std::vector<std::string> capture_paths;
+      "[-o out.json]] [--no-conversations] node.trace.jsonl...\n";
+  std::vector<std::string> shard_paths;
   std::string annotate_path;
   std::string out_path = "wire.trace.json";
   bool conversations = true;
@@ -223,30 +226,32 @@ int Main(int argc, char** argv) {
       std::fputs(kUsage, stderr);
       return 2;
     } else {
-      capture_paths.push_back(argv[i]);
+      shard_paths.push_back(argv[i]);
     }
   }
-  if (capture_paths.empty()) {
+  if (shard_paths.empty()) {
     std::fputs(kUsage, stderr);
     return 2;
   }
 
   std::vector<obs::wire::WireSegment> decoded;
   obs::wire::WireAuditor auditor(options);
-  for (const std::string& path : capture_paths) {
-    circus::StatusOr<net::WireCaptureFile> capture =
-        net::ReadWireCaptureFile(path);
-    if (!capture.ok()) {
+  for (const std::string& path : shard_paths) {
+    circus::StatusOr<obs::ShardFile> shard = obs::ReadShardFile(path);
+    if (!shard.ok()) {
       std::fprintf(stderr, "circus_wire: %s: %s\n", path.c_str(),
-                   capture.status().ToString().c_str());
+                   shard.status().ToString().c_str());
       return 2;
     }
     if (!annotate_path.empty()) {
-      std::vector<obs::wire::WireSegment> part =
-          obs::wire::DecodeRecords(capture->records, nullptr);
-      decoded.insert(decoded.end(), part.begin(), part.end());
+      for (const obs::Event& e : shard->events) {
+        if (std::optional<obs::wire::WireSegment> ws =
+                obs::wire::DecodePacket(e)) {
+          decoded.push_back(*std::move(ws));
+        }
+      }
     }
-    auditor.AddCapture(*capture);
+    auditor.AddShard(*shard);
   }
   const obs::wire::AuditReport report = auditor.Finish();
   std::fputs(report.Render(/*max_violations=*/50, conversations).c_str(),

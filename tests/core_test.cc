@@ -468,15 +468,21 @@ TEST_F(CoreTest, ManyToManyNoIntraTroupeCommunication) {
     server_hosts.insert(m.process.host);
   }
   int intra_troupe_packets = 0;
-  world_.network().SetPacketObserver([&](const net::Datagram& d) {
-    const bool both_client = client_hosts.contains(d.source.host) &&
-                             client_hosts.contains(d.destination.host);
-    const bool both_server = server_hosts.contains(d.source.host) &&
-                             server_hosts.contains(d.destination.host);
-    if (both_client || both_server) {
-      ++intra_troupe_packets;
-    }
-  });
+  const obs::EventBus::SubscriberId sub =
+      world_.bus().Subscribe([&](const obs::Event& e) {
+        if (e.kind != obs::EventKind::kPacketSend) {
+          return;
+        }
+        const uint32_t src = obs::PackedAddressHost(e.a);
+        const uint32_t dst = obs::PackedAddressHost(e.b);
+        const bool both_client =
+            client_hosts.contains(src) && client_hosts.contains(dst);
+        const bool both_server =
+            server_hosts.contains(src) && server_hosts.contains(dst);
+        if (both_client || both_server) {
+          ++intra_troupe_packets;
+        }
+      });
 
   const ThreadId thread{7, 7, 11};
   int completions = 0;
@@ -495,6 +501,7 @@ TEST_F(CoreTest, ManyToManyNoIntraTroupeCommunication) {
   EXPECT_EQ(completions, 2);
   EXPECT_EQ(server->executions[0], 1);
   EXPECT_EQ(server->executions[1], 1);
+  world_.bus().Unsubscribe(sub);
   EXPECT_EQ(intra_troupe_packets, 0);
 }
 

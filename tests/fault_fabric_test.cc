@@ -6,8 +6,10 @@
 // paths, and partitions cutting a multi-segment replicated call mid-
 // flight (the retransmit machinery must fail the call cleanly, and a
 // fresh client must get through once the partition heals).
+#include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -19,6 +21,7 @@
 #include "src/net/fault_fabric.h"
 #include "src/net/socket.h"
 #include "src/net/world.h"
+#include "src/obs/bus.h"
 #include "src/rt/runtime.h"
 #include "src/sim/task.h"
 
@@ -102,6 +105,46 @@ TEST(FaultFabricTest, SeedParityAcrossSimAndRtFabrics) {
   // bug, not luck.
   EXPECT_GT(sim_fabric.stats().dropped, 0u);
   EXPECT_GT(sim_fabric.stats().duplicated, 0u);
+}
+
+// Observation sits on the inner fabric, before any fault: with every
+// datagram duplicated, the bus sees each send exactly once and each of
+// its two copies delivered.
+TEST(FaultFabricTest, DuplicatedDatagramIsOneSendAndTwoDeliveries) {
+  World world(3, sim::SyscallCostModel::Free());
+  FaultFabric fabric(&world.network(), &world.executor(), 11);
+  FaultInjectionPlan plan;
+  plan.duplicate = 1.0;
+  fabric.set_plan(plan);
+  sim::Host* a = world.AddHost("a");
+  sim::Host* b = world.AddHost("b");
+  DatagramSocket sock_a(&fabric, a, 0);
+  DatagramSocket sock_b(&fabric, b, 0);
+  obs::EventLog log(&world.bus());
+  constexpr int kSends = 5;
+  for (int i = 0; i < kSends; ++i) {
+    ASSERT_TRUE(sock_a.SendRaw(sock_b.local_address(),
+                               Bytes(8, static_cast<uint8_t>(i)))
+                    .ok());
+  }
+  world.RunFor(Duration::Seconds(1));
+  EXPECT_EQ(fabric.stats().duplicated, static_cast<uint64_t>(kSends));
+
+  std::map<Bytes, std::pair<int, int>> seen;  // payload -> (sends, delivers)
+  for (const obs::Event& e : log.events()) {
+    if (e.kind == obs::EventKind::kPacketSend) {
+      ++seen[e.payload].first;
+    } else if (e.kind == obs::EventKind::kPacketDeliver) {
+      ++seen[e.payload].second;
+      EXPECT_EQ(e.b, obs::PackAddress(sock_b.local_address().host,
+                                      sock_b.local_address().port));
+    }
+  }
+  ASSERT_EQ(seen.size(), static_cast<size_t>(kSends));
+  for (const auto& [payload, counts] : seen) {
+    EXPECT_EQ(counts.first, 1);
+    EXPECT_EQ(counts.second, 2);
+  }
 }
 
 TEST(FaultFabricTest, ReseedRestartsTheDecisionStream) {

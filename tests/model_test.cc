@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "src/core/process.h"
+#include "src/model/bus_tap.h"
 #include "src/model/history.h"
 #include "src/model/recorder.h"
 #include "src/net/world.h"
@@ -209,6 +210,14 @@ TEST(RecorderTest, PrefixToleratedByDefaultNotWhenStrict) {
 
 // -------------------------------------- end-to-end with RpcProcess -----
 
+// Routes the process's call events (its per-thread history) into
+// `recorder`, keyed by the process address the events carry as origin.
+void AttachRecorder(BusRecorderTap* tap, const core::RpcProcess& process,
+                    TraceRecorder* recorder) {
+  const net::NetAddress address = process.process_address();
+  tap->Attach(obs::PackAddress(address.host, address.port), recorder);
+}
+
 class TraceIntegrationTest : public ::testing::Test {
  protected:
   TraceIntegrationTest()
@@ -240,12 +249,13 @@ TEST_F(TraceIntegrationTest, DeterministicTroupeMembersRecordIdenticalHistories)
   front.id = core::TroupeId{601};
   std::vector<std::unique_ptr<core::RpcProcess>> members;
   std::vector<std::unique_ptr<TraceRecorder>> recorders;
+  BusRecorderTap tap(&world_.bus());
   for (int i = 0; i < 3; ++i) {
     sim::Host* host = world_.AddHost("front" + std::to_string(i));
     auto process =
         std::make_unique<core::RpcProcess>(&world_.network(), host, 9000);
     auto recorder = std::make_unique<TraceRecorder>();
-    process->SetTraceRecorder(recorder.get());
+    AttachRecorder(&tap, *process, recorder.get());
     const core::ModuleNumber module = process->ExportModule("front");
     const core::Troupe backend_copy = backend;
     process->ExportProcedure(
@@ -299,12 +309,13 @@ TEST_F(TraceIntegrationTest, NondeterministicMemberIsCaught) {
   troupe.id = core::TroupeId{602};
   std::vector<std::unique_ptr<core::RpcProcess>> members;
   std::vector<std::unique_ptr<TraceRecorder>> recorders;
+  BusRecorderTap tap(&world_.bus());
   for (int i = 0; i < 2; ++i) {
     sim::Host* host = world_.AddHost("m" + std::to_string(i));
     auto process =
         std::make_unique<core::RpcProcess>(&world_.network(), host, 9000);
     auto recorder = std::make_unique<TraceRecorder>();
-    process->SetTraceRecorder(recorder.get());
+    AttachRecorder(&tap, *process, recorder.get());
     const core::ModuleNumber module = process->ExportModule("rngsvc");
     const int member = i;
     process->ExportProcedure(

@@ -376,11 +376,6 @@ TEST_F(MsgTest, OutOfOrderArrivalTriggersImmediateAck) {
   // arrival of segment 2 must trigger an immediate ack (ack number 0).
   auto client = MakeClient();
   auto server = MakeServer();
-  // Build a lossy plan that drops only the first packet sent.
-  int packet_index = 0;
-  world_.network().SetPacketObserver([&](const net::Datagram&) {
-    ++packet_index;
-  });
   // Use per-pair plan: drop the first client->server packet by brute
   // force: set loss 1.0 then heal after one send.
   FaultPlan lossy;

@@ -310,17 +310,21 @@ TEST_F(NetTest, LeaveGroupStopsDelivery) {
   EXPECT_EQ(m1.queued(), 0u);
 }
 
-TEST_F(NetTest, PacketObserverSeesEverySend) {
+TEST_F(NetTest, PacketSendEventSeesEverySend) {
   DatagramSocket a(&world_.network(), hosts_[0], 1000);
   DatagramSocket b(&world_.network(), hosts_[1], 2000);
   int observed = 0;
-  world_.network().SetPacketObserver([&](const Datagram&) { ++observed; });
+  obs::EventBus::SubscriberId sub =
+      world_.bus().Subscribe([&](const obs::Event& e) {
+        observed += e.kind == obs::EventKind::kPacketSend ? 1 : 0;
+      });
   world_.executor().Spawn([](DatagramSocket* s, NetAddress to) -> Task<void> {
     for (int i = 0; i < 3; ++i) {
       co_await s->Send(to, BytesFromString("obs"));
     }
   }(&a, b.local_address()));
   world_.RunUntilIdle();
+  world_.bus().Unsubscribe(sub);
   EXPECT_EQ(observed, 3);
 }
 

@@ -166,8 +166,11 @@ constexpr size_t kParitySegments = 4;
 std::vector<Bytes> CollectSimulatedWire() {
   std::vector<Bytes> wire;
   net::World world(1, sim::SyscallCostModel::Free());
-  world.network().SetPacketObserver(
-      [&wire](const net::Datagram& d) { wire.push_back(d.payload); });
+  world.bus().Subscribe([&wire](const obs::Event& e) {
+    if (e.kind == obs::EventKind::kPacketSend) {
+      wire.push_back(e.payload);
+    }
+  });
   sim::Host* client_host = world.AddHost("client");
   sim::Host* server_host = world.AddHost("server");
   DatagramSocket client_socket(&world.network(), client_host, 0);
@@ -187,8 +190,11 @@ std::vector<Bytes> CollectSimulatedWire() {
 std::vector<Bytes> CollectRealWire() {
   std::vector<Bytes> wire;
   Runtime runtime;
-  runtime.fabric().SetPacketObserver(
-      [&wire](const net::Datagram& d) { wire.push_back(d.payload); });
+  runtime.bus().Subscribe([&wire](const obs::Event& e) {
+    if (e.kind == obs::EventKind::kPacketSend) {
+      wire.push_back(e.payload);
+    }
+  });
   sim::Host* client_host = runtime.AddHost("client");
   sim::Host* server_host = runtime.AddHost("server");
   DatagramSocket client_socket(&runtime.fabric(), client_host, 0);

@@ -1011,5 +1011,20 @@ TEST(RtLoopbackTest, FaultControlCommandsAndBindConflict) {
   EXPECT_EQ(conflict.status().code(), ErrorCode::kAlreadyExists);
 }
 
+// The trace shard is the node's one on-disk observation: the old
+// separate packet-capture directory key is gone, so a config that still
+// sets it is rejected like any other typo rather than silently ignored.
+TEST(NodeConfigTest, RemovedCaptureDirectoryKeyIsUnknown) {
+  const std::string base =
+      "role = ringmaster\nlisten = 127.0.0.1:39030\ntrace_dir = x\n";
+  ASSERT_TRUE(ParseNodeConfig(base).ok());
+  const std::string key = std::string("tap") + "_dir";
+  StatusOr<NodeConfig> parsed = ParseNodeConfig(base + key + " = x\n");
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_NE(parsed.status().message().find("unknown key '" + key + "'"),
+            std::string::npos)
+      << parsed.status().ToString();
+}
+
 }  // namespace
 }  // namespace circus::rt
