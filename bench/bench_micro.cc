@@ -2,8 +2,9 @@
 // the reproduction, using google-benchmark: the stub compiler front end
 // and back end (Table 7.1's pipeline), the externalization layer
 // (Figure 7.1), the segment codec (Figure 4.2), and the simulation
-// kernel's event throughput. Unlike the table/figure benches these
-// measure this implementation's own speed, not simulated time.
+// kernel's event throughput and timeout-race cost. Unlike the
+// table/figure benches these measure this implementation's own speed,
+// not simulated time.
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -119,6 +120,31 @@ void BM_ExecutorEventThroughput(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_ExecutorEventThroughput);
+
+// One wait of a real-runtime call, executor side: arm its timeout, run the
+// value's wakeup that wins the race, cancel the losing timeout, and let
+// 10 us of clock pass. The queue holds 10^5 far-future events, the
+// backlog an echo1-seq process carried while dead timeouts stayed queued.
+void BM_ExecutorTimeoutRace(benchmark::State& state) {
+  using circus::sim::Duration;
+  circus::sim::Executor executor;
+  for (int i = 0; i < 100000; ++i) {
+    executor.ScheduleAfter(Duration::Seconds(3600) + Duration::Micros(i),
+                           [] {});
+  }
+  int wakeups = 0;
+  for (auto _ : state) {
+    const uint64_t timeout =
+        executor.ScheduleAfter(Duration::Millis(300), [] {});
+    executor.ScheduleAfter(Duration::Zero(), [&wakeups] { ++wakeups; });
+    executor.RunOne();
+    executor.Cancel(timeout);
+    executor.RunFor(Duration::Micros(10));
+  }
+  benchmark::DoNotOptimize(wakeups);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ExecutorTimeoutRace);
 
 // Mirrors each google-benchmark run into the shared BENCH_micro.json
 // report (one "micro" table row per benchmark) while keeping the usual

@@ -33,7 +33,7 @@ out_dir=$(mktemp -d)
 trap 'rm -rf "$out_dir"' EXIT
 
 failures=0
-base_port=38500
+base_port=28500
 for s in $seeds; do
   run_dir="$out_dir/seed$s"
   mkdir -p "$run_dir"

@@ -69,29 +69,29 @@ trap cleanup EXIT
 
 cat >"$obs_dir/ringmaster.conf" <<EOF
 role = ringmaster
-listen = 127.0.0.1:38301
-stats_port = 38311
+listen = 127.0.0.1:28301
+stats_port = 28311
 trace_dir = $obs_dir
 EOF
 for m in 2 3; do
   cat >"$obs_dir/member$m.conf" <<EOF
 role = member
-listen = 127.0.0.1:3830$m
-ringmaster = 127.0.0.1:38301
+listen = 127.0.0.1:2830$m
+ringmaster = 127.0.0.1:28301
 troupe = echo
 interface = echo
-stats_port = 3831$m
+stats_port = 2831$m
 trace_dir = $obs_dir
 EOF
 done
 cat >"$obs_dir/client.conf" <<EOF
 role = client
-listen = 127.0.0.1:38304
-ringmaster = 127.0.0.1:38301
+listen = 127.0.0.1:28304
+ringmaster = 127.0.0.1:28301
 troupe = echo
 calls = 1000000
 payload = 64
-stats_port = 38314
+stats_port = 28314
 trace_dir = $obs_dir
 EOF
 
@@ -145,8 +145,8 @@ def ask_paged(port, what, pages=100):
     sys.exit(1)
 
 ok = True
-for port, role in [(38311, "ringmaster"), (38312, "member"),
-                   (38313, "member"), (38314, "client")]:
+for port, role in [(28311, "ringmaster"), (28312, "member"),
+                   (28313, "member"), (28314, "client")]:
     metrics = ask(port, "metrics")
     if len(metrics.encode()) > 1500:
         print(f"FAIL: {port} metrics reply exceeds one datagram")
@@ -187,7 +187,7 @@ for port, role in [(38311, "ringmaster"), (38312, "member"),
         if needle not in full:
             print(f"FAIL: {port} paged latency missing {needle!r}")
             ok = False
-    if port == 38314:
+    if port == 28314:
         # The client node attributes its own calls: after half a second
         # of hammering the troupe, some must have been finalized.
         calls = [int(line.split()[1]) for line in full.splitlines()
@@ -221,8 +221,8 @@ EOF
 # circus_top: one snapshot of the whole live testbed must render a
 # per-resource row block for every node and exit 0.
 top_rc=0
-"$top_bin" --once 127.0.0.1:38311 127.0.0.1:38312 127.0.0.1:38313 \
-  127.0.0.1:38314 >"$obs_dir/top.log" 2>&1 || top_rc=$?
+"$top_bin" --once 127.0.0.1:28311 127.0.0.1:28312 127.0.0.1:28313 \
+  127.0.0.1:28314 >"$obs_dir/top.log" 2>&1 || top_rc=$?
 if [ "$top_rc" -ne 0 ]; then
   echo "FAIL: circus_top --once exited $top_rc"
   sed 's/^/  /' "$obs_dir/top.log"
@@ -259,7 +259,7 @@ for pid in $obs_pids; do
 done
 obs_pids=""
 
-for node in ringmaster-38301 member-38302 member-38303 client-38304; do
+for node in ringmaster-28301 member-28302 member-28303 client-28304; do
   for suffix in trace.jsonl metrics.prom; do
     if [ ! -s "$obs_dir/$node.$suffix" ]; then
       echo "FAIL: $node did not flush $node.$suffix"
@@ -270,10 +270,10 @@ done
 
 merge_rc=0
 "$merge_bin" -o "$obs_dir/merged.trace.json" \
-  "$obs_dir/client-38304.trace.jsonl" \
-  "$obs_dir/ringmaster-38301.trace.jsonl" \
-  "$obs_dir/member-38302.trace.jsonl" \
-  "$obs_dir/member-38303.trace.jsonl" \
+  "$obs_dir/client-28304.trace.jsonl" \
+  "$obs_dir/ringmaster-28301.trace.jsonl" \
+  "$obs_dir/member-28302.trace.jsonl" \
+  "$obs_dir/member-28303.trace.jsonl" \
   >"$obs_dir/merge.log" 2>&1 || merge_rc=$?
 if [ "$merge_rc" -ne 0 ]; then
   echo "FAIL: circus_trace_merge exited $merge_rc"
@@ -436,14 +436,14 @@ fi
 conflict_dir=$(mktemp -d)
 cat >"$conflict_dir/conflicted.conf" <<EOF
 role = ringmaster
-listen = 127.0.0.1:38390
-stats_port = 38391
+listen = 127.0.0.1:28390
+stats_port = 28391
 EOF
 # Hold the port from a helper that lives until we kill it.
 python3 -c '
 import socket, sys, time
 s = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-s.bind(("127.0.0.1", 38391))
+s.bind(("127.0.0.1", 28391))
 time.sleep(30)
 ' &
 squatter_pid=$!
@@ -485,7 +485,7 @@ rm -rf "$conflict_dir"
 replfs_dir=$(mktemp -d)
 replfs_rc=0
 "$build_dir/src/rt/circus_nemesis" seed=1 members=3 horizon_s=20 \
-  actions=5 base_port=39200 workload=replfs \
+  actions=5 base_port=29200 workload=replfs \
   bin="$build_dir/src/rt/circus_node" dir="$replfs_dir" \
   json="$replfs_dir/nem.json" >"$replfs_dir/nemesis.log" 2>&1 || replfs_rc=$?
 if [ "$replfs_rc" -ne 0 ]; then

@@ -63,7 +63,7 @@ void RpcProcess::PublishCallEvent(obs::EventKind kind, const ThreadId& thread,
   bus_->Publish(std::move(e));
 }
 
-RpcProcess::~RpcProcess() = default;
+RpcProcess::~RpcProcess() { host_->executor().Cancel(retire_event_); }
 
 // ------------------------------------------------------------- exports --
 
@@ -363,8 +363,8 @@ Task<void> RpcProcess::DispatchLoop() {
     }
     const InboundKey key{body->client_troupe, body->thread,
                          body->thread_seq};
-    auto it = inbound_->find(key);
-    if (it == inbound_->end()) {
+    auto it = inbound_.find(key);
+    if (it == inbound_.end()) {
       // First call message of a new inbound call: admitted to dispatch.
       // Time from here to kExecuteBegin is the server-queue stage
       // (argument collation wait + handler scheduling).
@@ -373,7 +373,7 @@ Task<void> RpcProcess::DispatchLoop() {
                        nullptr, m.call_number);
       auto call = std::make_shared<InboundCall>(host_);
       call->received[m.peer] = {m.call_number, body->arguments};
-      (*inbound_)[key] = call;
+      inbound_[key] = call;
       host_->Spawn(HandleInbound(key, call, std::move(*body)));
       continue;
     }
@@ -573,15 +573,25 @@ Task<void> RpcProcess::HandleInbound(InboundKey key,
 
   // 6. Retire the call record after the retention window (late members
   //    arriving within it are served from the buffer by the dispatcher).
-  host_->executor().ScheduleAfter(
-      options_.inbound_retention,
-      [weak = std::weak_ptr(inbound_), key] {
-        if (std::shared_ptr<std::map<InboundKey,
-                                     std::shared_ptr<InboundCall>>>
-                map = weak.lock()) {
-          map->erase(key);
-        }
-      });
+  retiring_.emplace_back(host_->executor().now() + options_.inbound_retention,
+                         key);
+  if (retire_event_ == 0) {
+    ArmRetirement();
+  }
+}
+
+void RpcProcess::ArmRetirement() {
+  retire_event_ = host_->executor().ScheduleAt(retiring_.front().first, [this] {
+    retire_event_ = 0;
+    const sim::TimePoint now = host_->executor().now();
+    while (!retiring_.empty() && retiring_.front().first <= now) {
+      inbound_.erase(retiring_.front().second);
+      retiring_.pop_front();
+    }
+    if (!retiring_.empty()) {
+      ArmRetirement();
+    }
+  });
 }
 
 // ------------------------------------------------- nested calls (ctx) --

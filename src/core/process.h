@@ -20,12 +20,14 @@
 #define SRC_CORE_PROCESS_H_
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <optional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/bytes.h"
@@ -259,6 +261,9 @@ class RpcProcess {
       ReplyStream stream, circus::Bytes first_value, bool have_first,
       std::function<void(const circus::Status&)> report);
   void InstallRuntimeModule();
+  // Arms retire_event_ for the oldest entry of retiring_; when it fires
+  // it erases every expired inbound record and re-arms for the next.
+  void ArmRetirement();
 
   // Publishes a call-level event (issue/collate/execute) to the World's
   // bus; no-op when nobody subscribed. `payload` carries the marshalled
@@ -288,12 +293,13 @@ class RpcProcess {
   std::vector<Module> modules_;
   std::map<ProcedureNumber, ProcedureHandler> runtime_procedures_;
 
-  // Held via shared_ptr so the retention-expiry callbacks scheduled on
-  // the executor can outlive this process safely (they capture a weak
-  // pointer).
-  std::shared_ptr<std::map<InboundKey, std::shared_ptr<InboundCall>>>
-      inbound_ = std::make_shared<
-          std::map<InboundKey, std::shared_ptr<InboundCall>>>();
+  std::map<InboundKey, std::shared_ptr<InboundCall>> inbound_;
+  // Finished calls awaiting retirement from inbound_, oldest first, as
+  // (expiry, key). The retention window is constant, so expiry order is
+  // completion order and one armed event (retire_event_, 0 when none)
+  // serves them all.
+  std::deque<std::pair<sim::TimePoint, InboundKey>> retiring_;
+  uint64_t retire_event_ = 0;
   std::map<ThreadId, uint32_t> thread_seq_;
   uint32_t next_msg_call_ = 1;
   uint16_t next_local_thread_ = 1;

@@ -97,6 +97,8 @@ void IoLoop::SetObservability(obs::EventBus* bus,
 
 void IoLoop::ArmTimer(sim::TimePoint wake) {
   armed_wake_ = wake;
+  timer_armed_ = true;
+  ++stats_.timer_arms;
   int64_t delta_ns = (wake - WallNow()).nanos();
   if (delta_ns < 1) {
     delta_ns = 1;  // 0 would disarm the timer
@@ -130,7 +132,9 @@ bool IoLoop::RunUntil(const std::function<bool()>& done,
         next.has_value() && *next < wake) {
       wake = *next;
     }
-    ArmTimer(wake);
+    if (!timer_armed_ || wake < armed_wake_) {
+      ArmTimer(wake);
+    }
     const int64_t wait_start = MonotonicNanos();
     const int64_t work_ns = wait_start - mark;
     stats_.busy_ns += work_ns;
@@ -160,6 +164,7 @@ bool IoLoop::RunUntil(const std::function<bool()>& done,
     int64_t slack_ns = 0;
     if (timer_fired) {
       ++stats_.timer_fires;
+      timer_armed_ = false;
       slack_ns = (WallNow() - armed_wake_).nanos();
       if (slack_ns < 0) {
         slack_ns = 0;

@@ -36,6 +36,7 @@ struct IoLoopStats {
   uint64_t wakeups = 0;      // epoll returns
   uint64_t fd_events = 0;    // readable fds handed to callbacks
   uint64_t timer_fires = 0;  // wakeups where the armed timerfd expired
+  uint64_t timer_arms = 0;   // timerfd_settime calls
   int64_t busy_ns = 0;       // outside epoll_wait
   int64_t idle_ns = 0;       // inside epoll_wait
 };
@@ -97,7 +98,12 @@ class IoLoop {
   obs::Counter* fd_events_ = nullptr;
   obs::Histogram* timer_slack_us_ = nullptr;
   obs::Histogram* iter_us_ = nullptr;  // per-iteration work-phase time
-  sim::TimePoint armed_wake_;  // deadline behind the armed timerfd
+  // Deadline behind the armed timerfd; meaningful while timer_armed_.
+  // The timerfd is re-armed only for an earlier deadline or after it
+  // fired: a deadline that moved later (its event was cancelled) costs at
+  // most one spurious wakeup, which then re-arms.
+  sim::TimePoint armed_wake_;
+  bool timer_armed_ = false;
   IoLoopStats stats_;
 };
 

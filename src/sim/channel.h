@@ -116,7 +116,8 @@ class Channel {
       channel_->receivers_.push_back(Receiver{state_, slot_});
       if (timeout_.has_value()) {
         std::shared_ptr<WaitState> s = state_;
-        channel_->executor()->ScheduleAfter(*timeout_, [s] {
+        executor_ = channel_->executor();
+        timer_ = executor_->ScheduleAfter(*timeout_, [s] {
           if (s->settled) {
             return;
           }
@@ -137,6 +138,13 @@ class Channel {
       if (immediate_.has_value()) {
         return std::move(immediate_);
       }
+      if (timer_ != 0 && !state_->timed_out) {
+        // A value or a crash won the race: the timeout leaves the queue
+        // now instead of firing as a no-op later. The executor was cached
+        // at suspend because the channel (say, a discarded return slot)
+        // may have been destroyed while this waiter slept.
+        executor_->Cancel(timer_);
+      }
       if (state_->crashed) {
         throw HostCrashedError();
       }
@@ -153,6 +161,8 @@ class Channel {
     std::optional<T> immediate_;
     std::shared_ptr<WaitState> state_;
     std::shared_ptr<std::optional<T>> slot_;
+    Executor* executor_ = nullptr;
+    uint64_t timer_ = 0;  // the timeout's event id; 0 when none armed
   };
 
   Host* host_;

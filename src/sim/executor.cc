@@ -11,54 +11,99 @@ uint64_t Executor::ScheduleAt(TimePoint when, std::function<void()> fn) {
   if (when < now_) {
     when = now_;
   }
-  const uint64_t id = next_id_++;
-  queue_.push(Event{when, next_seq_++, id});
-  callbacks_.emplace(id, std::move(fn));
-  return id;
+  uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<uint32_t>(slots_.size());
+    CIRCUS_CHECK(slot != kNotQueued);
+    slots_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  slots_[slot].fn = std::move(fn);
+  heap_.emplace_back();
+  Place(heap_.size() - 1, HeapEntry{when, next_seq_++, slot});
+  SiftUp(heap_.size() - 1);
+  return (static_cast<uint64_t>(slots_[slot].generation) << 32) | slot;
 }
 
 void Executor::Cancel(uint64_t id) {
-  auto it = callbacks_.find(id);
-  if (it != callbacks_.end()) {
-    callbacks_.erase(it);
-    cancelled_.insert(id);
+  const uint32_t slot = static_cast<uint32_t>(id);
+  if (slot >= slots_.size() || slots_[slot].generation != id >> 32 ||
+      slots_[slot].heap_index == kNotQueued) {
+    return;
   }
+  // The callback is destroyed only after the queue is consistent again:
+  // its captures' destructors may schedule or cancel events themselves.
+  std::function<void()> doomed = Remove(slots_[slot].heap_index);
+}
+
+std::function<void()> Executor::Remove(size_t i) {
+  Slot& s = slots_[heap_[i].slot];
+  std::function<void()> fn = std::move(s.fn);
+  s.fn = nullptr;
+  s.heap_index = kNotQueued;
+  if (++s.generation == 0) {
+    s.generation = 1;
+  }
+  free_slots_.push_back(heap_[i].slot);
+  // Walk the hole down along the earlier child to a leaf, then drop the
+  // last entry into it and sift that up: one comparison per level on the
+  // way down, where the last entry (a leaf) usually belongs near the
+  // bottom anyway.
+  const size_t n = heap_.size() - 1;
+  const HeapEntry last = heap_[n];
+  heap_.pop_back();
+  if (i == n) {
+    return fn;
+  }
+  while (true) {
+    size_t child = 2 * i + 1;
+    if (child >= n) {
+      break;
+    }
+    if (child + 1 < n && Before(heap_[child + 1], heap_[child])) {
+      ++child;
+    }
+    Place(i, heap_[child]);
+    i = child;
+  }
+  Place(i, last);
+  SiftUp(i);
+  return fn;
+}
+
+void Executor::SiftUp(size_t i) {
+  const HeapEntry e = heap_[i];
+  while (i > 0) {
+    const size_t parent = (i - 1) / 2;
+    if (!Before(e, heap_[parent])) {
+      break;
+    }
+    Place(i, heap_[parent]);
+    i = parent;
+  }
+  Place(i, e);
 }
 
 bool Executor::RunOne() {
-  while (!queue_.empty()) {
-    Event ev = queue_.top();
-    queue_.pop();
-    auto cancelled_it = cancelled_.find(ev.id);
-    if (cancelled_it != cancelled_.end()) {
-      cancelled_.erase(cancelled_it);
-      continue;
-    }
-    auto it = callbacks_.find(ev.id);
-    CIRCUS_CHECK(it != callbacks_.end());
-    std::function<void()> fn = std::move(it->second);
-    callbacks_.erase(it);
-    CIRCUS_CHECK(ev.when >= now_);
-    now_ = ev.when;
-    ++events_run_;
-    fn();
-    return true;
+  if (heap_.empty()) {
+    return false;
   }
-  return false;
+  const TimePoint when = heap_.front().when;
+  std::function<void()> fn = Remove(0);
+  CIRCUS_CHECK(when >= now_);
+  now_ = when;
+  ++events_run_;
+  fn();
+  return true;
 }
 
-std::optional<TimePoint> Executor::NextEventTime() {
-  while (!queue_.empty()) {
-    const Event& ev = queue_.top();
-    auto cancelled_it = cancelled_.find(ev.id);
-    if (cancelled_it == cancelled_.end()) {
-      return ev.when;
-    }
-    // Lazily discard cancelled tombstones so they do not pin the timer.
-    cancelled_.erase(cancelled_it);
-    queue_.pop();
+std::optional<TimePoint> Executor::NextEventTime() const {
+  if (heap_.empty()) {
+    return std::nullopt;
   }
-  return std::nullopt;
+  return heap_.front().when;
 }
 
 void Executor::RunUntilIdle() {
@@ -67,14 +112,8 @@ void Executor::RunUntilIdle() {
 }
 
 void Executor::RunUntil(TimePoint deadline) {
-  while (!queue_.empty()) {
-    Event ev = queue_.top();
-    if (ev.when > deadline) {
-      break;
-    }
-    if (!RunOne()) {
-      break;
-    }
+  while (!heap_.empty() && heap_.front().when <= deadline) {
+    RunOne();
   }
   if (now_ < deadline) {
     now_ = deadline;

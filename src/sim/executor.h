@@ -8,9 +8,6 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <queue>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/sim/task.h"
@@ -27,14 +24,16 @@ class Executor {
   TimePoint now() const { return now_; }
 
   // Schedules `fn` to run at simulated time `when` (clamped to now()).
-  // Events at equal times run in scheduling order. Returns an id usable
-  // with Cancel().
+  // Events at equal times run in scheduling order. Returns a nonzero id
+  // usable with Cancel().
   uint64_t ScheduleAt(TimePoint when, std::function<void()> fn);
   uint64_t ScheduleAfter(Duration delay, std::function<void()> fn) {
     return ScheduleAt(now_ + delay, std::move(fn));
   }
 
-  // Lazily cancels a scheduled event; a no-op if it already ran.
+  // Removes a scheduled event from the queue and destroys its callback;
+  // a no-op if it already ran or was cancelled, even when its slot has
+  // since been reused (ids carry the slot's generation).
   void Cancel(uint64_t id);
 
   // Runs the earliest pending event; returns false if none remain.
@@ -46,16 +45,17 @@ class Executor {
   void RunUntil(TimePoint deadline);
   void RunFor(Duration d) { RunUntil(now_ + d); }
 
-  size_t pending_events() const { return queue_.size() - cancelled_.size(); }
+  // Events still queued; cancelled ones have already left the queue.
+  size_t pending_events() const { return heap_.size(); }
 
   // Total events dispatched by RunOne — with pending_events(), the
   // run-queue side of the utilization telemetry (src/obs/util.h).
   uint64_t events_run() const { return events_run_; }
 
-  // Time of the earliest pending (non-cancelled) event, or nullopt when
-  // the queue is empty. Used by the real-time runtime to arm its timer:
-  // the wall-clock IoLoop sleeps exactly until the next virtual deadline.
-  std::optional<TimePoint> NextEventTime();
+  // Time of the earliest pending event, or nullopt when the queue is
+  // empty. Used by the real-time runtime to arm its timer: the wall-clock
+  // IoLoop sleeps exactly until the next virtual deadline.
+  std::optional<TimePoint> NextEventTime() const;
 
   // Starts a detached coroutine. The coroutine begins running immediately
   // (until its first suspension). A HostCrashedError escaping the task is
@@ -86,26 +86,44 @@ class Executor {
  private:
   friend struct DetachedRunner;
 
-  struct Event {
+  // The queue is a binary min-heap over (when, seq) whose entries name
+  // a slot; each slot holds its event's callback and its heap position,
+  // so Cancel can remove an event in O(log n) instead of leaving a
+  // tombstone. An id is (generation << 32 | slot); a slot's generation
+  // bumps each time it is freed, so a stale id never matches its reuse.
+  static constexpr uint32_t kNotQueued = UINT32_MAX;
+  struct HeapEntry {
     TimePoint when;
     uint64_t seq;
-    uint64_t id;
+    uint32_t slot;
   };
-  struct EventLater {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.when != b.when) {
-        return a.when > b.when;
-      }
-      return a.seq > b.seq;
+  struct Slot {
+    std::function<void()> fn;
+    uint32_t generation = 1;  // never 0, so no id is 0
+    uint32_t heap_index = kNotQueued;
+  };
+
+  static bool Before(const HeapEntry& a, const HeapEntry& b) {
+    if (a.when != b.when) {
+      return a.when < b.when;
     }
-  };
+    return a.seq < b.seq;
+  }
+  // Places `e` at heap index `i` and records the position in its slot.
+  void Place(size_t i, const HeapEntry& e) {
+    heap_[i] = e;
+    slots_[e.slot].heap_index = static_cast<uint32_t>(i);
+  }
+  void SiftUp(size_t i);
+  // Takes the entry at heap index `i` out of the heap and frees its slot,
+  // returning the callback.
+  std::function<void()> Remove(size_t i);
 
   TimePoint now_;
   uint64_t next_seq_ = 0;
-  uint64_t next_id_ = 1;
-  std::priority_queue<Event, std::vector<Event>, EventLater> queue_;
-  std::unordered_map<uint64_t, std::function<void()>> callbacks_;
-  std::unordered_set<uint64_t> cancelled_;
+  std::vector<HeapEntry> heap_;
+  std::vector<Slot> slots_;
+  std::vector<uint32_t> free_slots_;
   int64_t live_detached_ = 0;
   uint64_t events_run_ = 0;
 };

@@ -71,6 +71,7 @@ class Host {
       Host* host;
       Duration delay;
       std::shared_ptr<WaitState> state;
+      uint64_t timer = 0;
       bool await_ready() {
         return !host->up();  // resume immediately; await_resume throws
       }
@@ -79,7 +80,7 @@ class Host {
         state->handle = h;
         host->RegisterWaiter(state);
         std::shared_ptr<WaitState> s = state;
-        host->executor_->ScheduleAfter(delay, [s] {
+        timer = host->executor_->ScheduleAfter(delay, [s] {
           if (s->settled) {
             return;
           }
@@ -92,6 +93,8 @@ class Host {
           throw HostCrashedError();  // host was already down
         }
         if (state->crashed) {
+          // The crash won: drop the sleep's timer from the queue.
+          host->executor_->Cancel(timer);
           throw HostCrashedError();
         }
       }

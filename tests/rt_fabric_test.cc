@@ -294,7 +294,7 @@ TEST(RtFabricTest, EphemeralPortExhaustionFailsOnBothFabrics) {
   }
   {
     Runtime runtime;
-    runtime.fabric().set_ephemeral_port_range(47211, 47213);
+    runtime.fabric().set_ephemeral_port_range(27211, 27213);
     sim::Host* host = runtime.AddHost("h");
     std::vector<std::unique_ptr<DatagramSocket>> sockets;
     for (int i = 0; i < 3; ++i) {

@@ -55,24 +55,24 @@ using txn::TransactionalServer;
 using txn::TxnId;
 
 // The Ringmaster's well-known port 17 is privileged on a real kernel, so
-// the loopback testbed uses high ports; the bootstrap Troupe carries the
-// address either way (Section 6.3's "configured set of machines").
+// the loopback testbed binds an ephemeral port and reads it back; the
+// bootstrap Troupe carries the address either way (Section 6.3's
+// "configured set of machines"). No test binds a fixed port inside the
+// kernel's ephemeral range, where another process's socket may hold it.
 struct RingmasterNode {
   std::unique_ptr<RpcProcess> process;
   std::unique_ptr<RingmasterServer> server;
   Troupe bootstrap;
 };
 
-RingmasterNode MakeRingmaster(Runtime* runtime, net::Port port) {
+RingmasterNode MakeRingmaster(Runtime* runtime) {
   RingmasterNode node;
   sim::Host* host = runtime->AddHost("ringmaster");
-  node.process =
-      std::make_unique<RpcProcess>(&runtime->fabric(), host, port);
+  node.process = std::make_unique<RpcProcess>(&runtime->fabric(), host, 0);
   node.server = std::make_unique<RingmasterServer>(node.process.get());
   node.bootstrap.id = binding::kRingmasterTroupeId;
   node.bootstrap.members.push_back(
-      ModuleAddress{net::NetAddress{kLoopbackAddress, port},
-                    node.server->module_number()});
+      node.process->module_address(node.server->module_number()));
   node.server->BootstrapSelf(node.bootstrap);
   return node;
 }
@@ -119,7 +119,7 @@ std::unique_ptr<Member> MakeMember(Runtime* runtime,
 
 TEST(RtLoopbackTest, ReplicatedCallAndReconfiguration) {
   Runtime runtime;
-  RingmasterNode ring = MakeRingmaster(&runtime, 38017);
+  RingmasterNode ring = MakeRingmaster(&runtime);
 
   std::vector<std::unique_ptr<Member>> members;
   Troupe troupe;
@@ -341,7 +341,7 @@ Task<void> RunCommitDriver(RpcProcess* process,
 
 TEST(RtLoopbackTest, TroupeCommitOverRealUdp) {
   Runtime runtime;
-  RingmasterNode ring = MakeRingmaster(&runtime, 38018);
+  RingmasterNode ring = MakeRingmaster(&runtime);
 
   // Three transactional members, registered as one troupe.
   std::vector<std::unique_ptr<RpcProcess>> processes;
@@ -526,12 +526,64 @@ TEST(RtLoopbackTest, TracedReplicatedCallMergesIntoOneSpanTree) {
 // NodeObservability without the datagram socket: HandleQuery is the
 // exact reply a stats datagram gets (the socket path itself is driven
 // end-to-end by scripts/check_realnet.sh against live circus_nodes).
+Task<void> CallEchoRepeatedly(RpcProcess* client, Troupe troupe,
+                              ModuleNumber module, int calls, int* done) {
+  const ThreadId thread = client->NewRootThread();
+  const Bytes args(16, 0x5A);
+  for (int i = 0; i < calls; ++i) {
+    StatusOr<Bytes> r =
+        co_await client->Call(thread, troupe, module, 0, args);
+    CIRCUS_CHECK_MSG(r.ok(), r.status().ToString().c_str());
+    CIRCUS_CHECK(*r == args);
+    ++*done;
+  }
+}
+
+// Every wait of a call arms a timeout that the reply nearly always beats.
+// A timeout that loses must leave the executor at once: the queue after
+// 2000 sequential echoes is the queue after 20, and the IoLoop's timerfd
+// neither fires nor re-arms once per call.
+TEST(RtLoopbackTest, SequentialEchoesLeaveNoTimersBehind) {
+  Runtime runtime;
+  sim::Host* member_host = runtime.AddHost("member");
+  ModuleNumber module = 0;
+  std::unique_ptr<RpcProcess> member =
+      MakeEchoProcess(&runtime, member_host, &module);
+  member->SetTroupeId(TroupeId{99});
+  Troupe troupe;
+  troupe.id = TroupeId{99};
+  troupe.members.push_back(member->module_address(module));
+  sim::Host* client_host = runtime.AddHost("client");
+  RpcProcess client(&runtime.fabric(), client_host, 0);
+  const auto run_echoes = [&](int calls) {
+    int done = 0;
+    client_host->Spawn(
+        CallEchoRepeatedly(&client, troupe, module, calls, &done));
+    return runtime.RunUntil([&done, calls] { return done == calls; },
+                            Duration::Seconds(60));
+  };
+
+  ASSERT_TRUE(run_echoes(20));
+  const size_t pending_after_warmup = runtime.executor().pending_events();
+  const IoLoopStats warm = runtime.loop().stats();
+  constexpr int kCalls = 2000;
+  ASSERT_TRUE(run_echoes(kCalls));
+  EXPECT_EQ(runtime.executor().pending_events(), pending_after_warmup);
+  const IoLoopStats& stats = runtime.loop().stats();
+  EXPECT_LE(stats.timer_fires - warm.timer_fires, kCalls / 100u);
+  // Re-arming only for an earlier deadline or after a fire: a handful of
+  // arms per retransmit interval, where arming every iteration made at
+  // least one per call.
+  EXPECT_LE(stats.timer_arms - warm.timer_arms, kCalls / 20u)
+      << "wakeups " << stats.wakeups - warm.wakeups;
+}
+
 TEST(RtLoopbackTest, IntrospectionQueriesReportMetricsHealthAndSpans) {
   Runtime runtime;
   sim::Host* member_host = runtime.AddHost("member");
   NodeConfig cfg;
   cfg.role = NodeConfig::Role::kMember;
-  cfg.listen = net::NetAddress{kLoopbackAddress, 39001};
+  cfg.listen = net::NetAddress{kLoopbackAddress, 29001};
   cfg.node_name = "observe-me";
   cfg.trace_dir = testing::TempDir();
   NodeObservability node_obs(&runtime, member_host, cfg);
@@ -622,7 +674,7 @@ TEST(RtLoopbackTest, PagedIntrospectionReassemblesOversizeSpansReply) {
   sim::Host* member_host = runtime.AddHost("member");
   NodeConfig cfg;
   cfg.role = NodeConfig::Role::kMember;
-  cfg.listen = net::NetAddress{kLoopbackAddress, 39002};
+  cfg.listen = net::NetAddress{kLoopbackAddress, 29002};
   cfg.node_name = "pager";
   NodeObservability node_obs(&runtime, member_host, cfg);
   ASSERT_TRUE(node_obs.status().ok()) << node_obs.status().ToString();
@@ -768,9 +820,9 @@ TEST_P(PagedPastEndTest, OffsetsPastEndOfDataTerminateWithEmptyChunk) {
   sim::Host* node_host = runtime.AddHost("node");
   NodeConfig cfg;
   cfg.role = NodeConfig::Role::kMember;
-  cfg.listen = net::NetAddress{kLoopbackAddress, 39050};
+  cfg.listen = net::NetAddress{kLoopbackAddress, 29050};
   cfg.node_name = "pastend";
-  cfg.stats_port = through_fault_fabric ? 39052 : 39051;
+  cfg.stats_port = through_fault_fabric ? 29052 : 29051;
   NodeObservability node_obs(&runtime, node_host, cfg);
   ASSERT_TRUE(node_obs.status().ok()) << node_obs.status().ToString();
 
@@ -857,7 +909,7 @@ INSTANTIATE_TEST_SUITE_P(Fabrics, PagedPastEndTest, testing::Bool(),
 // retransmissions of its predecessor's.
 TEST(RtLoopbackTest, RebootedMemberRejoinsDespitePeerDuplicateSuppression) {
   Runtime runtime;
-  RingmasterNode ring = MakeRingmaster(&runtime, 38021);
+  RingmasterNode ring = MakeRingmaster(&runtime);
 
   std::vector<std::unique_ptr<Member>> members;
   Troupe troupe;
@@ -967,7 +1019,7 @@ TEST(RtLoopbackTest, StatsPortBindConflictSurfacesFatalStatus) {
   net::DatagramSocket squatter(&runtime.fabric(), host, 0);
   NodeConfig cfg;
   cfg.role = NodeConfig::Role::kMember;
-  cfg.listen = net::NetAddress{kLoopbackAddress, 39010};
+  cfg.listen = net::NetAddress{kLoopbackAddress, 29010};
   cfg.node_name = "conflict";
   cfg.stats_port = squatter.local_address().port;
   NodeObservability node_obs(&runtime, host, cfg);
@@ -1016,7 +1068,7 @@ TEST(RtLoopbackTest, FaultControlCommandsAndBindConflict) {
 // sets it is rejected like any other typo rather than silently ignored.
 TEST(NodeConfigTest, RemovedCaptureDirectoryKeyIsUnknown) {
   const std::string base =
-      "role = ringmaster\nlisten = 127.0.0.1:39030\ntrace_dir = x\n";
+      "role = ringmaster\nlisten = 127.0.0.1:29030\ntrace_dir = x\n";
   ASSERT_TRUE(ParseNodeConfig(base).ok());
   const std::string key = std::string("tap") + "_dir";
   StatusOr<NodeConfig> parsed = ParseNodeConfig(base + key + " = x\n");

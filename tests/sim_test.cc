@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "src/sim/channel.h"
@@ -109,6 +112,111 @@ TEST(ExecutorTest, NestedSchedulingFromCallback) {
   EXPECT_EQ(ex.now().nanos(), Duration::Millis(2).nanos());
 }
 
+// Model-based check of the indexed heap: random schedule / cancel / run
+// sequences (callbacks that cancel or schedule in turn, stale ids whose
+// slots were reused, and many equal deadlines) against a reference map
+// ordered by (deadline, scheduling order).
+class ExecutorModelProperty : public ::testing::TestWithParam<uint64_t> {
+ protected:
+  using Key = std::pair<TimePoint, uint64_t>;  // (when, scheduling order)
+
+  void Schedule() {
+    // Coarse deadlines so that many events tie.
+    const TimePoint when =
+        ex_.now() + Duration::Millis(rng_.UniformInt(0, 8));
+    const size_t tag = ids_.size();  // ids_[tag] is this event's id
+    const uint64_t id = ex_.ScheduleAt(when, [this, tag] { Fired(tag); });
+    ASSERT_NE(id, 0u);
+    for (uint64_t earlier : ids_) {
+      ASSERT_NE(earlier, id) << "id handed out twice";
+    }
+    ids_.push_back(id);
+    const Key key{when, order_++};
+    model_.emplace(key, tag);
+    live_.emplace(id, key);
+  }
+
+  // Cancels a random id ever handed out: live, already run, cancelled, or
+  // stale with its slot since reused.
+  void CancelAny() {
+    const uint64_t id = ids_[static_cast<size_t>(
+        rng_.UniformInt(0, static_cast<int64_t>(ids_.size()) - 1))];
+    ex_.Cancel(id);
+    if (auto it = live_.find(id); it != live_.end()) {
+      model_.erase(it->second);
+      live_.erase(it);
+    }
+  }
+
+  void Fired(size_t tag) {
+    ran_ = tag;
+    // Callbacks act on the queue too.
+    const int64_t action = rng_.UniformInt(0, 3);
+    if (action == 0) {
+      CancelAny();
+    } else if (action == 1) {
+      Schedule();
+    }
+  }
+
+  void RunOneAndCheck() {
+    ASSERT_FALSE(model_.empty());
+    const auto head = model_.begin();
+    const size_t expected = head->second;
+    const TimePoint when = head->first.first;
+    live_.erase(ids_[expected]);
+    model_.erase(head);
+    ASSERT_TRUE(ex_.RunOne());
+    EXPECT_EQ(ran_, expected);
+    EXPECT_EQ(ex_.now(), when);
+  }
+
+  void CheckQueue() {
+    ASSERT_EQ(ex_.pending_events(), model_.size());
+    if (model_.empty()) {
+      EXPECT_FALSE(ex_.NextEventTime().has_value());
+    } else {
+      EXPECT_EQ(ex_.NextEventTime(), model_.begin()->first.first);
+    }
+  }
+
+  Executor ex_;
+  Rng rng_{GetParam()};
+  std::vector<uint64_t> ids_;
+  std::map<Key, size_t> model_;   // -> tag
+  std::map<uint64_t, Key> live_;  // live id -> model key
+  size_t ran_ = SIZE_MAX;         // tag of the last callback run
+  uint64_t order_ = 0;
+};
+
+TEST_P(ExecutorModelProperty, MatchesReferenceQueue) {
+  for (int step = 0; step < 4000; ++step) {
+    const int64_t op = rng_.UniformInt(0, 9);
+    if (op < 4 || ids_.empty()) {
+      Schedule();
+    } else if (op < 6) {
+      CancelAny();
+    } else if (!model_.empty()) {
+      RunOneAndCheck();
+    }
+    CheckQueue();
+    if (HasFailure()) {
+      return;
+    }
+  }
+  while (!model_.empty()) {
+    RunOneAndCheck();
+    CheckQueue();
+    if (HasFailure()) {
+      return;
+    }
+  }
+  EXPECT_FALSE(ex_.RunOne());
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ExecutorModelProperty,
+                         ::testing::Range<uint64_t>(1, 13));
+
 // ---------------------------------------------------------------- Task --
 
 Task<int> Return42() { co_return 42; }
@@ -206,6 +314,9 @@ TEST(HostTest, CrashWakesSleeperWithHostCrashedError) {
   EXPECT_TRUE(crashed_seen);
   EXPECT_FALSE(completed);
   EXPECT_FALSE(host.up());
+  // The sleep's timer left the queue with the crash: the executor drained
+  // at 5 ms, not at the 10 s deadline.
+  EXPECT_EQ(ex.now().nanos(), Duration::Millis(5).nanos());
 }
 
 TEST(HostTest, CrashReapsDetachedTaskSilently) {
@@ -363,30 +474,67 @@ TEST(ChannelTest, ValueBeatsTimeout) {
   Host host(&ex, 1, "h", SyscallCostModel::Free());
   Channel<int> ch(&host);
   std::optional<int> got;
+  const size_t before = ex.pending_events();
   ex.Spawn([](Channel<int>* c, std::optional<int>* out) -> Task<void> {
     *out = co_await c->ReceiveWithTimeout(Duration::Millis(50));
   }(&ch, &got));
   ex.ScheduleAfter(Duration::Millis(1), [&] { ch.Send(5); });
-  ex.RunUntilIdle();
+  ex.RunFor(Duration::Millis(2));
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(*got, 5);
+  // The losing timeout left the queue when the value won, not at its
+  // 50 ms deadline.
+  EXPECT_EQ(ex.pending_events(), before);
 }
 
 TEST(ChannelTest, CrashWakesReceiver) {
   Executor ex;
   Host host(&ex, 1, "h", SyscallCostModel::Free());
   Channel<int> ch(&host);
-  bool crashed = false;
-  ex.Spawn([](Channel<int>* c, bool* out) -> Task<void> {
+  int crashed = 0;
+  const size_t before = ex.pending_events();
+  ex.Spawn([](Channel<int>* c, int* out) -> Task<void> {
     try {
       co_await c->Receive();
     } catch (const HostCrashedError&) {
-      *out = true;
+      ++*out;
     }
   }(&ch, &crashed));
+  ex.Spawn([](Channel<int>* c, int* out) -> Task<void> {
+    try {
+      co_await c->ReceiveWithTimeout(Duration::Seconds(5));
+    } catch (const HostCrashedError&) {
+      ++*out;
+    }
+  }(&ch, &crashed));
+  EXPECT_EQ(ex.pending_events(), before + 1);  // the timeout
   ex.ScheduleAfter(Duration::Millis(1), [&] { host.Crash(); });
-  ex.RunUntilIdle();
+  ex.RunFor(Duration::Millis(2));
+  EXPECT_EQ(crashed, 2);
+  // The crash won, so the timed waiter cancelled its timeout.
+  EXPECT_EQ(ex.pending_events(), before);
+}
+
+TEST(ChannelTest, CrashWakesWaiterWhoseChannelIsGone) {
+  // A return slot can be destroyed while its waiter sleeps; the waiter
+  // must cancel its timeout without touching the dead channel.
+  Executor ex;
+  Host host(&ex, 1, "h", SyscallCostModel::Free());
+  auto ch = std::make_unique<Channel<int>>(&host);
+  bool crashed = false;
+  ex.Spawn([](Channel<int>* c, bool* out) -> Task<void> {
+    try {
+      co_await c->ReceiveWithTimeout(Duration::Seconds(5));
+    } catch (const HostCrashedError&) {
+      *out = true;
+    }
+  }(ch.get(), &crashed));
+  ex.RunFor(Duration::Millis(1));
+  ch.reset();
+  host.Crash();
+  ex.RunFor(Duration::Millis(1));
   EXPECT_TRUE(crashed);
+  EXPECT_EQ(ex.pending_events(), 0u);
 }
 
 TEST(ChannelTest, TryReceiveDoesNotBlock) {
