@@ -152,7 +152,7 @@ void PrintRow(circus::bench::BenchReport& report, const char* label,
 // Protocol-health companion to each latency row: what the runtime's
 // MetricsRegistry saw during the run (retransmissions, probe rounds,
 // the collator wait distribution, loop wakeups). The same instruments a
-// live circus_node exposes through its `metrics` endpoint.
+// live `circus node` exposes through its `metrics` endpoint.
 void AddMetricsRow(circus::bench::BenchReport& report, const char* label,
                    const circus::obs::MetricsRegistry::Snapshot& snap) {
   auto counter = [&snap](const char* name) -> uint64_t {

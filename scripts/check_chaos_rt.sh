@@ -1,5 +1,5 @@
 #!/bin/sh
-# Chaos on the real runtime: drives circus_nemesis against a live
+# Chaos on the real runtime: drives `circus nemesis` against a live
 # loopback testbed for several seeded schedules. Every run must come
 # back with a clean Section 4.2 wire audit, post-heal convergence of
 # the replicated counter, and no unexpected process deaths — the same
@@ -20,14 +20,11 @@ repo_root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
 build_dir=${1:-"$repo_root/build"}
 seeds=${2:-"1 2 3 4 5"}
 
-nemesis_bin="$build_dir/src/rt/circus_nemesis"
-node_bin="$build_dir/src/rt/circus_node"
-for bin in "$nemesis_bin" "$node_bin"; do
-  if [ ! -x "$bin" ]; then
-    echo "check_chaos_rt: missing $bin (build first)" >&2
-    exit 1
-  fi
-done
+circus_bin="$build_dir/src/rt/circus"
+if [ ! -x "$circus_bin" ]; then
+  echo "check_chaos_rt: missing $circus_bin (build first)" >&2
+  exit 1
+fi
 
 out_dir=$(mktemp -d)
 trap 'rm -rf "$out_dir"' EXIT
@@ -37,9 +34,9 @@ base_port=28500
 for s in $seeds; do
   run_dir="$out_dir/seed$s"
   mkdir -p "$run_dir"
-  if "$nemesis_bin" seed="$s" members=3 horizon_s=20 actions=5 \
-      base_port="$base_port" bin="$node_bin" dir="$run_dir" \
-      json="$out_dir/nem_$s.json" >"$run_dir/nemesis.log" 2>&1; then
+  if "$circus_bin" nemesis --seed "$s" --members 3 --horizon_s 20 \
+      --actions 5 --base_port "$base_port" --dir "$run_dir" \
+      --json "$out_dir/nem_$s.json" >"$run_dir/nemesis.log" 2>&1; then
     grep '^nemesis: PASS' "$run_dir/nemesis.log" | sed "s/^nemesis:/PASS: seed=$s/"
   else
     echo "FAIL: nemesis seed=$s (violations, non-convergence, or crash)"

@@ -42,21 +42,15 @@ echo "check_realnet: rt suite stable over $runs runs"
 # and streaming a trace shard (trace_dir=). While the testbed runs,
 # every node must answer `metrics` and `health` datagrams with
 # well-formed replies; after a SIGTERM-driven graceful shutdown, the
-# four shards must merge (circus_trace_merge) into one clock-aligned
+# four shards must merge (`circus merge`) into one clock-aligned
 # Chrome trace in which a replicated call is one root-thread span tree
 # spanning both members.
 
-node_bin="$build_dir/src/rt/circus_node"
-merge_bin="$build_dir/src/rt/circus_trace_merge"
-wire_bin="$build_dir/src/rt/circus_wire"
-lat_bin="$build_dir/src/rt/circus_lat"
-top_bin="$build_dir/src/rt/circus_top"
-for bin in "$node_bin" "$merge_bin" "$wire_bin" "$lat_bin" "$top_bin"; do
-  if [ ! -x "$bin" ]; then
-    echo "check_realnet: missing $bin (build first)" >&2
-    exit 1
-  fi
-done
+circus_bin="$build_dir/src/rt/circus"
+if [ ! -x "$circus_bin" ]; then
+  echo "check_realnet: missing $circus_bin (build first)" >&2
+  exit 1
+fi
 
 obs_dir=$(mktemp -d)
 obs_pids=""
@@ -97,16 +91,16 @@ EOF
 
 # Members join sequentially (the first AddTroupeMember bootstraps the
 # registration); the client then hammers the troupe until stopped.
-"$node_bin" "$obs_dir/ringmaster.conf" >"$obs_dir/ringmaster.log" 2>&1 &
+"$circus_bin" node "$obs_dir/ringmaster.conf" >"$obs_dir/ringmaster.log" 2>&1 &
 obs_pids="$!"
 sleep 0.3
-"$node_bin" "$obs_dir/member2.conf" >"$obs_dir/member2.log" 2>&1 &
+"$circus_bin" node "$obs_dir/member2.conf" >"$obs_dir/member2.log" 2>&1 &
 obs_pids="$obs_pids $!"
 sleep 0.3
-"$node_bin" "$obs_dir/member3.conf" >"$obs_dir/member3.log" 2>&1 &
+"$circus_bin" node "$obs_dir/member3.conf" >"$obs_dir/member3.log" 2>&1 &
 obs_pids="$obs_pids $!"
 sleep 0.5
-"$node_bin" "$obs_dir/client.conf" >"$obs_dir/client.log" 2>&1 &
+"$circus_bin" node "$obs_dir/client.conf" >"$obs_dir/client.log" 2>&1 &
 obs_pids="$obs_pids $!"
 sleep 0.5
 
@@ -218,29 +212,31 @@ for port, role in [(28311, "ringmaster"), (28312, "member"),
 sys.exit(0 if ok else 1)
 EOF
 
-# circus_top: one snapshot of the whole live testbed must render a
+# circus top: one snapshot of the whole live testbed must render a
 # per-resource row block for every node and exit 0.
 top_rc=0
-"$top_bin" --once 127.0.0.1:28311 127.0.0.1:28312 127.0.0.1:28313 \
+"$circus_bin" top --once 127.0.0.1:28311 127.0.0.1:28312 127.0.0.1:28313 \
   127.0.0.1:28314 >"$obs_dir/top.log" 2>&1 || top_rc=$?
 if [ "$top_rc" -ne 0 ]; then
-  echo "FAIL: circus_top --once exited $top_rc"
+  echo "FAIL: circus top --once exited $top_rc"
   sed 's/^/  /' "$obs_dir/top.log"
   obs_failures=$((obs_failures + 1))
 elif [ "$(grep -c "cpu.process" "$obs_dir/top.log")" -ne 4 ] \
    || ! grep -q "rt.loop" "$obs_dir/top.log"; then
-  echo "FAIL: circus_top table missing per-node resource rows"
+  echo "FAIL: circus top table missing per-node resource rows"
   sed 's/^/  /' "$obs_dir/top.log"
   obs_failures=$((obs_failures + 1))
 else
-  echo "PASS: circus_top --once rendered all 4 nodes"
+  echo "PASS: circus top --once rendered all 4 nodes"
 fi
 
-# Strict CLI flags: every tool must reject an unknown flag with usage
-# and a nonzero exit instead of silently treating it as an input path.
-for tool in "$merge_bin" "$lat_bin" "$wire_bin" "$top_bin"; do
-  if "$tool" --definitely-not-a-flag x >/dev/null 2>&1; then
-    echo "FAIL: $(basename "$tool") accepted an unknown flag"
+# Strict CLI flags: every subcommand must reject an unknown flag with
+# usage and exit 2 instead of silently treating it as an input path.
+for sub in node nemesis merge lat wire top; do
+  flag_rc=0
+  "$circus_bin" "$sub" --definitely-not-a-flag x >/dev/null 2>&1 || flag_rc=$?
+  if [ "$flag_rc" -ne 2 ]; then
+    echo "FAIL: circus $sub exited $flag_rc on an unknown flag (want 2)"
     obs_failures=$((obs_failures + 1))
   fi
 done
@@ -269,14 +265,14 @@ for node in ringmaster-28301 member-28302 member-28303 client-28304; do
 done
 
 merge_rc=0
-"$merge_bin" -o "$obs_dir/merged.trace.json" \
+"$circus_bin" merge -o "$obs_dir/merged.trace.json" \
   "$obs_dir/client-28304.trace.jsonl" \
   "$obs_dir/ringmaster-28301.trace.jsonl" \
   "$obs_dir/member-28302.trace.jsonl" \
   "$obs_dir/member-28303.trace.jsonl" \
   >"$obs_dir/merge.log" 2>&1 || merge_rc=$?
 if [ "$merge_rc" -ne 0 ]; then
-  echo "FAIL: circus_trace_merge exited $merge_rc"
+  echo "FAIL: circus merge exited $merge_rc"
   sed 's/^/  /' "$obs_dir/merge.log"
   obs_failures=$((obs_failures + 1))
 else
@@ -320,6 +316,35 @@ print(f"PASS: merged trace ({len(events)} records, "
 EOF
 fi
 
+# --- stage latency round ----------------------------------------------
+# The offline twin of the live `latency` query: `circus lat` over the
+# same four shards must attribute the client's calls (a non-zero call
+# count) and render the per-stage table with every stage row.
+lat_rc=0
+"$circus_bin" lat "$obs_dir"/*.trace.jsonl >"$obs_dir/lat.log" 2>&1 || lat_rc=$?
+if [ "$lat_rc" -ne 0 ]; then
+  echo "FAIL: circus lat exited $lat_rc"
+  sed 's/^/  /' "$obs_dir/lat.log"
+  obs_failures=$((obs_failures + 1))
+elif ! grep -Eq "^latency attribution: [1-9][0-9]* calls" "$obs_dir/lat.log"; then
+  echo "FAIL: circus lat attributed no calls"
+  sed 's/^/  /' "$obs_dir/lat.log"
+  obs_failures=$((obs_failures + 1))
+else
+  lat_rows=0
+  for stage in stage client_marshal request_flight server_queue \
+      server_execute reply_collate end_to_end; do
+    grep -Eq "^  $stage " "$obs_dir/lat.log" && lat_rows=$((lat_rows + 1))
+  done
+  if [ "$lat_rows" -ne 7 ]; then
+    echo "FAIL: circus lat stage table incomplete"
+    sed 's/^/  /' "$obs_dir/lat.log"
+    obs_failures=$((obs_failures + 1))
+  else
+    echo "PASS: circus lat ($(grep '^latency attribution' "$obs_dir/lat.log"))"
+  fi
+fi
+
 # --- wire audit round --------------------------------------------------
 # Every node's trace shard also holds the datagrams it sent and received
 # (packet events). Decoding and auditing all four shards together must
@@ -329,15 +354,15 @@ fi
 # legitimately exchange get_state during sequential joins.) The audit
 # also annotates the merged timeline with per-span wire cost.
 wire_rc=0
-"$wire_bin" --annotate "$obs_dir/merged.trace.json" \
+"$circus_bin" wire --annotate "$obs_dir/merged.trace.json" \
   -o "$obs_dir/wire.trace.json" --no-conversations \
   "$obs_dir"/*.trace.jsonl >"$obs_dir/wire.log" 2>&1 || wire_rc=$?
 if [ "$wire_rc" -ne 0 ]; then
-  echo "FAIL: circus_wire exited $wire_rc (violations or bad shards)"
+  echo "FAIL: circus wire exited $wire_rc (violations or bad shards)"
   sed 's/^/  /' "$obs_dir/wire.log"
   obs_failures=$((obs_failures + 1))
 elif ! grep -q "wire audit: 0 violation" "$obs_dir/wire.log"; then
-  echo "FAIL: circus_wire did not report a clean audit"
+  echo "FAIL: circus wire did not report a clean audit"
   sed 's/^/  /' "$obs_dir/wire.log"
   obs_failures=$((obs_failures + 1))
 elif grep -q "incomplete" "$obs_dir/wire.log" ||
@@ -350,7 +375,7 @@ elif ! grep -Eq "records=[1-9]" "$obs_dir/wire.log"; then
   sed 's/^/  /' "$obs_dir/wire.log"
   obs_failures=$((obs_failures + 1))
 elif [ ! -s "$obs_dir/wire.trace.json" ]; then
-  echo "FAIL: circus_wire produced no annotated timeline"
+  echo "FAIL: circus wire produced no annotated timeline"
   obs_failures=$((obs_failures + 1))
 else
   echo "PASS: wire audit clean and complete over $(ls "$obs_dir"/*.trace.jsonl | wc -l) trace shards"
@@ -364,7 +389,7 @@ if [ "$obs_failures" -ne 0 ]; then
   done
   exit 1
 fi
-echo "check_realnet: observability round ok (metrics/health/latency/util on 4 nodes, circus_top snapshot, shards merged, wire audit clean)"
+echo "check_realnet: observability round ok (metrics/health/latency/util on 4 nodes, circus top snapshot, shards merged, stage latency attributed, wire audit clean)"
 
 # --- latency-bench round -----------------------------------------------
 # The open-loop load harness against the real runtime: bench_throughput
@@ -449,12 +474,12 @@ time.sleep(30)
 squatter_pid=$!
 sleep 0.3
 conflict_rc=0
-"$node_bin" "$conflict_dir/conflicted.conf" \
+"$circus_bin" node "$conflict_dir/conflicted.conf" \
   >"$conflict_dir/node.log" 2>&1 || conflict_rc=$?
 kill "$squatter_pid" 2>/dev/null || true
 wait "$squatter_pid" 2>/dev/null || true
 if [ "$conflict_rc" -eq 0 ]; then
-  echo "FAIL: circus_node exited 0 despite a stats_port bind conflict"
+  echo "FAIL: circus node exited 0 despite a stats_port bind conflict"
   rm -rf "$conflict_dir"
   exit 1
 fi
@@ -479,17 +504,16 @@ rm -rf "$conflict_dir"
 # generated marshaling, ordered-broadcast write staging, troupe commit)
 # and the oracle is read-your-writes: after healing, a fresh client
 # commits a known block and reads it back with unanimous collation.
-# seed=1's schedule orders 1 SIGKILL/restart and 1 partition, so the
+# Seed 1's schedule orders 1 SIGKILL/restart and 1 partition, so the
 # run covers a member rebuilt from state transfer mid-traffic. The run
 # is wire-audited like every other.
 replfs_dir=$(mktemp -d)
 replfs_rc=0
-"$build_dir/src/rt/circus_nemesis" seed=1 members=3 horizon_s=20 \
-  actions=5 base_port=29200 workload=replfs \
-  bin="$build_dir/src/rt/circus_node" dir="$replfs_dir" \
-  json="$replfs_dir/nem.json" >"$replfs_dir/nemesis.log" 2>&1 || replfs_rc=$?
+"$circus_bin" nemesis --seed 1 --members 3 --horizon_s 20 \
+  --actions 5 --base_port 29200 --workload replfs --dir "$replfs_dir" \
+  --json "$replfs_dir/nem.json" >"$replfs_dir/nemesis.log" 2>&1 || replfs_rc=$?
 if [ "$replfs_rc" -ne 0 ]; then
-  echo "FAIL: replfs nemesis round (seed=1)"
+  echo "FAIL: replfs nemesis round (seed 1)"
   tail -15 "$replfs_dir/nemesis.log" | sed 's/^/  /'
   rm -rf "$replfs_dir"
   exit 1

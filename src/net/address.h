@@ -11,6 +11,9 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
+
+#include "src/common/status.h"
 
 namespace circus::net {
 
@@ -34,6 +37,10 @@ struct NetAddress {
   // Dotted-quad rendering, e.g. "10.0.0.3:9000".
   std::string ToString() const;
 };
+
+// "10.1.2.3:9000" -> NetAddress, through the one strict endpoint parser
+// (src/common/endpoint.h); kInvalidArgument naming `text` otherwise.
+circus::StatusOr<NetAddress> ParseNetAddress(std::string_view text);
 
 struct NetAddressHash {
   size_t operator()(const NetAddress& a) const {

@@ -196,51 +196,15 @@ void FaultFabric::SendThrough(sim::Host* sender, Datagram d) {
 
 std::optional<NetAddress> FaultFabric::ParseEndpoint(
     std::string_view text) {
-  NetAddress out;
-  const size_t colon = text.rfind(':');
-  std::string_view host_part;
-  std::string_view port_part = text;
-  if (colon != std::string_view::npos) {
-    host_part = text.substr(0, colon);
-    port_part = text.substr(colon + 1);
-  }
-  unsigned port = 0;
-  auto [p, ec] = std::from_chars(port_part.data(),
-                                 port_part.data() + port_part.size(), port);
-  if (ec != std::errc() || p != port_part.data() + port_part.size() ||
-      port == 0 || port > 65535) {
+  // The control protocol's own rule: a bare port means 127.0.0.1.
+  const std::string full = text.find(':') == std::string_view::npos
+                               ? "127.0.0.1:" + std::string(text)
+                               : std::string(text);
+  circus::StatusOr<NetAddress> address = ParseNetAddress(full);
+  if (!address.ok() || address->port == 0) {
     return std::nullopt;
   }
-  out.port = static_cast<Port>(port);
-  if (host_part.empty()) {
-    out.host = 0x7F000001u;  // bare port: loopback
-    return out;
-  }
-  uint32_t host = 0;
-  int quads = 0;
-  const char* cur = host_part.data();
-  const char* end = host_part.data() + host_part.size();
-  while (cur < end && quads < 4) {
-    unsigned quad = 0;
-    auto [q, qec] = std::from_chars(cur, end, quad);
-    if (qec != std::errc() || quad > 255) {
-      return std::nullopt;
-    }
-    host = (host << 8) | quad;
-    ++quads;
-    cur = q;
-    if (cur < end) {
-      if (*cur != '.') {
-        return std::nullopt;
-      }
-      ++cur;
-    }
-  }
-  if (quads != 4 || cur != end) {
-    return std::nullopt;
-  }
-  out.host = host;
-  return out;
+  return *address;
 }
 
 std::string FaultFabric::StatusLine() const {

@@ -155,7 +155,7 @@ class LatencyAttributor {
   // (circus_latency_stage_us{stage="..."}), end-to-end summary, and
   // counters. Appended to the node `metrics`/`latency` responses.
   std::string ToPrometheus() const;
-  // Top-K slow-call report with full span trees (for circus_lat).
+  // Top-K slow-call report with full span trees (for `circus lat`).
   std::string SlowCallReport() const;
 
  private:

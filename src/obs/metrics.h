@@ -148,7 +148,7 @@ class MetricsRegistry {
     // p50/p90/p99 quantiles plus _sum/_count, and as native histograms
     // (`circus_<name>_hist`) with cumulative power-of-two
     // `_bucket{le=...}` series. Dots in instrument names become
-    // underscores. Served by the circus_node `metrics` endpoint.
+    // underscores. Served by the `circus node` `metrics` endpoint.
     std::string ToPrometheus() const;
   };
   Snapshot Snap(int64_t time_ns) const;

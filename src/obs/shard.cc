@@ -6,6 +6,7 @@
 #include <sstream>
 #include <utility>
 
+#include "src/common/endpoint.h"
 #include "src/common/hexdump.h"
 #include "src/obs/export.h"
 
@@ -17,14 +18,9 @@ constexpr int kShardVersion = 1;
 
 // "10.0.0.3:9000" -> packed (host << 16 | port); 0 when malformed.
 uint64_t ParsePackedAddress(const std::string& text) {
-  unsigned a = 0, b = 0, c = 0, d = 0, port = 0;
-  if (std::sscanf(text.c_str(), "%u.%u.%u.%u:%u", &a, &b, &c, &d, &port) !=
-          5 ||
-      a > 255 || b > 255 || c > 255 || d > 255 || port > 65535) {
-    return 0;
-  }
-  const uint32_t host = (a << 24) | (b << 16) | (c << 8) | d;
-  return PackAddress(host, static_cast<uint16_t>(port));
+  uint32_t host = 0;
+  uint16_t port = 0;
+  return ParseIpv4Endpoint(text, &host, &port) ? PackAddress(host, port) : 0;
 }
 
 json::Value DropMarker(uint64_t count) {

@@ -3,11 +3,11 @@
 // A shard is a JSONL file — a header object first ({"shard":
 // "circus-trace", ...} with the node's identity and incarnation), then
 // one event per line in the canonical EventToJson rendering. Each
-// circus_node writes its own shard; circus_trace_merge (and the
+// `circus node` writes its own shard; `circus merge` (and the
 // functions in src/obs/merge.h) join N shards from N processes into one
 // Chrome trace, correlating by the propagated Section 3.4.1 thread ID.
 // Packet events carry their datagrams, so a shard is also the node's
-// wire capture: circus_wire audits shards (src/obs/wire.h).
+// wire capture: `circus wire` audits shards (src/obs/wire.h).
 //
 // The writer buffers events in a bounded ring and appends to the file
 // only on Flush(), so a hot protocol path never blocks on disk I/O and

@@ -99,7 +99,7 @@ class UtilizationMonitor {
   uint64_t samples() const { return samples_; }
   int64_t last_sample_ns() const { return last_sample_ns_; }
 
-  // Aligned human-readable table (circus_top renders its own from the
+  // Aligned human-readable table (`circus top` renders its own from the
   // Prometheus form; this one serves logs, benches, and tests).
   std::string ToString() const;
   // `circus_util_*` exposition with one `resource="..."` label per

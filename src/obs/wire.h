@@ -230,7 +230,7 @@ class WireAuditor {
   AuditReport report_;
 };
 
-// Convenience: read and audit trace shards together (the circus_wire
+// Convenience: read and audit trace shards together (the `circus wire`
 // CLI path). Fails if any file cannot be read or is not a shard.
 circus::StatusOr<AuditReport> AuditShardFiles(
     const std::vector<std::string>& paths, const AuditOptions& options);

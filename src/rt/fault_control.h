@@ -1,6 +1,6 @@
 // The faults_port control endpoint: one-datagram text commands steering
 // a node's FaultFabric at runtime, mirroring the introspect protocol
-// (drive it with netcat, or with circus_nemesis which is the real
+// (drive it with netcat, or with `circus nemesis` which is the real
 // customer). Each request datagram is one FaultFabric::ApplyCommand
 // line; the reply is "ok", the status line, or "err <reason>".
 //
@@ -24,7 +24,7 @@ class FaultControl {
  public:
   // Binds the control endpoint on `port` of the runtime's (inner) UDP
   // fabric and serves it from `host`. Fails with kAlreadyExists when
-  // the port is taken — circus_node treats that as fatal.
+  // the port is taken — `circus node` treats that as fatal.
   static circus::StatusOr<std::unique_ptr<FaultControl>> Open(
       Runtime* runtime, sim::Host* host, net::FaultFabric* fabric,
       net::Port port);

@@ -1,6 +1,5 @@
 // Live node observability: the trace shard and the one-datagram text
-// introspection endpoint of a circus_node (ISSUE: "observing a live
-// node", DESIGN.md Section 6).
+// introspection endpoint of a `circus node` (DESIGN.md Section 6).
 //
 // NodeObservability bundles what every rt node needs to be observable:
 //
@@ -9,7 +8,7 @@
 //    config sets trace_dir= (flushed periodically and at shutdown). The
 //    shard also holds every datagram this process sends or receives
 //    (packet events), so it doubles as the node's wire capture, decoded
-//    and audited by circus_wire;
+//    and audited by `circus wire`;
 //  * a UDP stats socket (stats_port=) answering single-datagram text
 //    queries with single-datagram text replies:
 //        metrics  -> Prometheus exposition of the MetricsRegistry
@@ -76,7 +75,7 @@ class NodeObservability {
   const circus::Status& status() const { return status_; }
 
   // The stats-endpoint bind result, separately from status(): kOk when
-  // stats_port is 0 or the bind succeeded. circus_node fails fast on
+  // stats_port is 0 or the bind succeeded. `circus node` fails fast on
   // this (a conflicting stats_port is an operator error, not a
   // degradation to limp through).
   const circus::Status& stats_status() const { return stats_status_; }
@@ -92,7 +91,7 @@ class NodeObservability {
 
   obs::ShardWriter& shard() { return *shard_; }
   // The node's USE-method utilization monitor (always attached; the
-  // `util` query, the health `load` grade, and circus_top read it).
+  // `util` query, the health `load` grade, and `circus top` read it).
   obs::UtilizationMonitor& util() { return monitor_; }
 
   // Samples every utilization probe at the runtime's current time. The

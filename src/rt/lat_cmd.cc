@@ -1,9 +1,9 @@
-// circus_lat: stage-level latency attribution over merged trace shards.
+// `circus lat`: stage-level latency attribution over merged trace shards.
 //
-//   circus_lat [-k slowest] [-p] shard...
+//   circus lat [-k slowest] [-p] shard...
 //
-// Reads the per-node shards a testbed wrote (circus_node trace_dir=),
-// clock-aligns them exactly like circus_trace_merge, replays the merged
+// Reads the per-node shards a testbed wrote (`circus node` trace_dir=),
+// clock-aligns them exactly like `circus merge`, replays the merged
 // event stream through the obs::LatencyAttributor, and renders:
 //
 //   * the per-stage breakdown table (count, p50/p90/p99/max per stage,
@@ -15,55 +15,37 @@
 // (same text a live node serves for the `latency` query). Exit codes:
 // 0 report written, 2 usage/input error.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "src/obs/latency.h"
 #include "src/obs/merge.h"
 #include "src/obs/shard.h"
+#include "src/rt/cli.h"
 
 namespace circus::rt {
-namespace {
 
-int Usage() {
-  std::fprintf(stderr, "usage: circus_lat [-k slowest] [-p] shard...\n");
-  return 2;
-}
-
-int Main(int argc, char** argv) {
-  size_t top_k = 5;
+int cli::Lat(int argc, char** argv) {
+  uint64_t top_k = 5;
   bool prometheus = false;
   std::vector<std::string> shard_paths;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "-k") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "circus_lat: -k needs a count\n");
-        return 2;
-      }
-      top_k = static_cast<size_t>(std::strtoul(argv[++i], nullptr, 10));
-    } else if (std::strcmp(argv[i], "-p") == 0) {
-      prometheus = true;
-    } else if (std::strcmp(argv[i], "-h") == 0 ||
-               std::strcmp(argv[i], "--help") == 0) {
-      return Usage();
-    } else if (argv[i][0] == '-') {
-      std::fprintf(stderr, "circus_lat: unknown flag %s\n", argv[i]);
-      return Usage();
-    } else {
-      shard_paths.push_back(argv[i]);
-    }
-  }
-  if (shard_paths.empty()) {
-    return Usage();
+  const Flag flags[] = {
+      {"-k", &top_k, "slowest",
+       "slow calls to report with their span trees (default 5)"},
+      {"-p", &prometheus, nullptr,
+       "print the Prometheus exposition instead of the table"},
+      {"shard", &shard_paths, nullptr,
+       "trace shards (`circus node` trace_dir= output)"},
+  };
+  if (!ParseFlags(argc, argv, flags)) {
+    return kUsageError;
   }
 
   std::vector<obs::ShardFile> shards;
   for (const std::string& path : shard_paths) {
     circus::StatusOr<obs::ShardFile> shard = obs::ReadShardFile(path);
     if (!shard.ok()) {
-      std::fprintf(stderr, "circus_lat: %s\n",
+      std::fprintf(stderr, "circus lat: %s\n",
                    shard.status().ToString().c_str());
       return 2;
     }
@@ -72,7 +54,7 @@ int Main(int argc, char** argv) {
 
   circus::StatusOr<obs::MergeResult> merged = obs::MergeShards(shards);
   if (!merged.ok()) {
-    std::fprintf(stderr, "circus_lat: %s\n",
+    std::fprintf(stderr, "circus lat: %s\n",
                  merged.status().ToString().c_str());
     return 2;
   }
@@ -86,7 +68,7 @@ int Main(int argc, char** argv) {
 
   if (attributor.calls() == 0) {
     std::fprintf(stderr,
-                 "circus_lat: no completed calls in %zu shard(s) "
+                 "circus lat: no completed calls in %zu shard(s) "
                  "(%zu events)\n",
                  shards.size(), merged->events.size());
   }
@@ -103,7 +85,4 @@ int Main(int argc, char** argv) {
   return 0;
 }
 
-}  // namespace
 }  // namespace circus::rt
-
-int main(int argc, char** argv) { return circus::rt::Main(argc, argv); }

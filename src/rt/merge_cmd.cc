@@ -1,9 +1,9 @@
-// circus_trace_merge: joins N per-node trace shards into one Chrome
+// `circus merge`: joins N per-node trace shards into one Chrome
 // trace_event file (open in chrome://tracing or Perfetto).
 //
-//   circus_trace_merge [-o merged.trace.json] shard...
+//   circus merge [-o merged.trace.json] shard...
 //
-// Shards come from circus_node (trace_dir=) or from tests' ShardWriters.
+// Shards come from `circus node` (trace_dir=) or from tests' ShardWriters.
 // Events are correlated by the propagated logical thread ID; per-node
 // clocks are aligned from paired-message call/return exchanges, and the
 // alignment report — including the residual skew per node pair that the
@@ -11,52 +11,34 @@
 // 0 merged, 2 usage/input error, 3 a shard could not be clock-aligned
 // (no paired traffic links it to the rest).
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "src/obs/export.h"
 #include "src/obs/merge.h"
 #include "src/obs/shard.h"
+#include "src/rt/cli.h"
 
 namespace circus::rt {
-namespace {
 
-int Main(int argc, char** argv) {
+int cli::Merge(int argc, char** argv) {
   std::string out_path = "merged.trace.json";
   std::vector<std::string> shard_paths;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "-o") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "circus_trace_merge: -o needs a path\n");
-        return 2;
-      }
-      out_path = argv[++i];
-    } else if (std::strcmp(argv[i], "-h") == 0 ||
-               std::strcmp(argv[i], "--help") == 0) {
-      std::fprintf(stderr,
-                   "usage: circus_trace_merge [-o out.trace.json] shard...\n");
-      return 2;
-    } else if (argv[i][0] == '-') {
-      std::fprintf(stderr, "circus_trace_merge: unknown flag %s\n", argv[i]);
-      std::fprintf(stderr,
-                   "usage: circus_trace_merge [-o out.trace.json] shard...\n");
-      return 2;
-    } else {
-      shard_paths.push_back(argv[i]);
-    }
-  }
-  if (shard_paths.empty()) {
-    std::fprintf(stderr,
-                 "usage: circus_trace_merge [-o out.trace.json] shard...\n");
-    return 2;
+  const Flag flags[] = {
+      {"-o", &out_path, "out.trace.json",
+       "merged Chrome trace (default merged.trace.json)"},
+      {"shard", &shard_paths, nullptr,
+       "trace shards (`circus node` trace_dir= output)"},
+  };
+  if (!ParseFlags(argc, argv, flags)) {
+    return kUsageError;
   }
 
   std::vector<obs::ShardFile> shards;
   for (const std::string& path : shard_paths) {
     circus::StatusOr<obs::ShardFile> shard = obs::ReadShardFile(path);
     if (!shard.ok()) {
-      std::fprintf(stderr, "circus_trace_merge: %s\n",
+      std::fprintf(stderr, "circus merge: %s\n",
                    shard.status().ToString().c_str());
       return 2;
     }
@@ -65,7 +47,7 @@ int Main(int argc, char** argv) {
 
   circus::StatusOr<obs::MergeResult> merged = obs::MergeShards(shards);
   if (!merged.ok()) {
-    std::fprintf(stderr, "circus_trace_merge: %s\n",
+    std::fprintf(stderr, "circus merge: %s\n",
                  merged.status().ToString().c_str());
     return 2;
   }
@@ -76,7 +58,7 @@ int Main(int argc, char** argv) {
       obs::ToChromeTrace(merged->events, merged->host_names);
   circus::Status written = obs::WriteStringToFile(out_path, trace);
   if (!written.ok()) {
-    std::fprintf(stderr, "circus_trace_merge: %s\n",
+    std::fprintf(stderr, "circus merge: %s\n",
                  written.ToString().c_str());
     return 2;
   }
@@ -86,7 +68,7 @@ int Main(int argc, char** argv) {
   for (size_t k = 0; k < shards.size(); ++k) {
     if (!merged->aligned[k]) {
       std::fprintf(stderr,
-                   "circus_trace_merge: shard %zu (%s) has no paired "
+                   "circus merge: shard %zu (%s) has no paired "
                    "traffic linking it to the reference clock\n",
                    k, shard_paths[k].c_str());
       return 3;
@@ -95,7 +77,4 @@ int Main(int argc, char** argv) {
   return 0;
 }
 
-}  // namespace
 }  // namespace circus::rt
-
-int main(int argc, char** argv) { return circus::rt::Main(argc, argv); }

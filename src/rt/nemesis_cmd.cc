@@ -1,8 +1,9 @@
-// circus_nemesis: a live fault-injection supervisor for a real loopback
-// testbed. It spawns circus_node processes (one ringmaster, M members,
-// one resilient client), generates the seeded chaos schedule
-// (src/chaos/schedule.h) that the simulator's chaos harness uses, and
-// executes it against the *real* processes:
+// `circus nemesis`: a live fault-injection supervisor for a real
+// loopback testbed. It spawns `circus node` processes from its own
+// executable (one ringmaster, M members, one resilient client),
+// generates the seeded chaos schedule (src/chaos/schedule.h) that the
+// simulator's chaos harness uses, and executes it against the *real*
+// processes:
 //
 //   kCrashMember   SIGKILL a member, restart it 3 s later under a new
 //                  node_name (fresh trace shard, same listen
@@ -27,18 +28,13 @@
 //
 // The availability line parsed from the resilient client
 // (calls=/ok=/failed=) plus both oracle results go to a JSON summary
-// (json=PATH) that scripts/check_chaos_rt.sh aggregates into
+// (--json PATH) that scripts/check_chaos_rt.sh aggregates into
 // BENCH_chaos_rt.json. Exit is nonzero on any audit violation, failed
 // convergence, or a node death the schedule did not order.
 //
-// Usage (key=value arguments, all optional):
-//   circus_nemesis seed=7 dir=/tmp/run bin=build/src/rt/circus_node \
-//       members=3 horizon_s=25 actions=6 base_port=38400 json=out.json
-#include <arpa/inet.h>
+// Usage: `circus nemesis --help`; every flag has a default.
 #include <fcntl.h>
-#include <netinet/in.h>
 #include <signal.h>
-#include <sys/socket.h>
 #include <sys/stat.h>
 #include <sys/wait.h>
 #include <time.h>
@@ -61,7 +57,8 @@
 #include "src/msg/paired_endpoint.h"
 #include "src/net/address.h"
 #include "src/obs/wire.h"
-#include "src/rt/node_config.h"
+#include "src/rt/cli.h"
+#include "src/rt/udp_query.h"
 #include "src/sim/time.h"
 
 namespace circus::rt {
@@ -83,42 +80,8 @@ void SleepMillis(int ms) {
   nanosleep(&ts, nullptr);
 }
 
-// One request/one reply text datagram to 127.0.0.1:port — the shape of
-// both the introspect (stats_port) and fault control (faults_port)
-// protocols. Returns nullopt when every try times out (e.g. the node
-// is SIGKILLed, or the burst loss plan ate the control packet — which
-// is why control endpoints bind on the inner fabric, not the faulted
-// one).
-std::optional<std::string> UdpAsk(uint16_t port, const std::string& request,
-                                  int tries, int timeout_ms) {
-  const int fd = socket(AF_INET, SOCK_DGRAM, 0);
-  if (fd < 0) {
-    return std::nullopt;
-  }
-  timeval tv{};
-  tv.tv_sec = timeout_ms / 1000;
-  tv.tv_usec = (timeout_ms % 1000) * 1000;
-  setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  sockaddr_in to{};
-  to.sin_family = AF_INET;
-  to.sin_port = htons(port);
-  to.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  std::optional<std::string> reply;
-  for (int i = 0; i < tries && g_stop == 0; ++i) {
-    if (sendto(fd, request.data(), request.size(), 0,
-               reinterpret_cast<sockaddr*>(&to), sizeof(to)) < 0) {
-      SleepMillis(50);
-      continue;
-    }
-    char buf[2048];
-    const ssize_t n = recv(fd, buf, sizeof(buf), 0);
-    if (n >= 0) {
-      reply = std::string(buf, static_cast<size_t>(n));
-      break;
-    }
-  }
-  close(fd);
-  return reply;
+net::NetAddress Loopback(uint16_t port) {
+  return net::NetAddress{0x7F000001u, port};
 }
 
 // ---------------------------------------------------------- processes --
@@ -138,7 +101,6 @@ struct NodeProc {
 
 struct Testbed {
   std::string dir;
-  std::string bin;
   uint64_t seed = 0;
   std::string workload = "echo";
   NodeProc ringmaster;
@@ -189,8 +151,8 @@ std::string WriteConfig(const Testbed& bed, const NodeProc& node,
   return path;
 }
 
-pid_t SpawnProcess(const std::string& bin, const std::string& conf,
-                   const std::string& log_path) {
+// Runs `circus node CONF` from this very executable.
+pid_t SpawnProcess(const std::string& conf, const std::string& log_path) {
   const pid_t pid = fork();
   if (pid < 0) {
     std::fprintf(stderr, "nemesis: fork: %s\n", std::strerror(errno));
@@ -203,7 +165,7 @@ pid_t SpawnProcess(const std::string& bin, const std::string& conf,
       dup2(fd, 2);
       close(fd);
     }
-    execl(bin.c_str(), bin.c_str(), conf.c_str(),
+    execl("/proc/self/exe", "circus", "node", conf.c_str(),
           static_cast<char*>(nullptr));
     _exit(127);
   }
@@ -216,7 +178,7 @@ void SpawnNode(Testbed& bed, NodeProc& node) {
   // fabrics don't make lock-step decisions).
   const uint64_t fault_seed = bed.seed ^ (uint64_t{node.port} << 20);
   const std::string conf = WriteConfig(bed, node, fault_seed);
-  node.pid = SpawnProcess(bed.bin, conf, LogPath(bed, node));
+  node.pid = SpawnProcess(conf, LogPath(bed, node));
   node.expect_death = false;
   node.shards.push_back(bed.dir + "/" + IncarnationName(node) +
                         ".trace.jsonl");
@@ -283,7 +245,8 @@ void SendFault(const NodeProc& node, const std::string& command) {
   if (node.faults_port == 0 || node.pid <= 0) {
     return;
   }
-  std::optional<std::string> reply = UdpAsk(node.faults_port, command, 3, 400);
+  std::optional<std::string> reply =
+      UdpQuery(Loopback(node.faults_port), command, 400, /*tries=*/3);
   if (!reply.has_value()) {
     std::fprintf(stderr, "nemesis: no fault-control reply from %s for '%s'\n",
                  IncarnationName(node).c_str(), command.c_str());
@@ -300,6 +263,14 @@ void BroadcastFault(Testbed& bed, const std::string& command) {
   }
 }
 
+std::string PartitionCommand(const std::vector<std::string>& island) {
+  std::string command = "partition";
+  for (const std::string& endpoint : island) {
+    command += " " + endpoint;
+  }
+  return command;
+}
+
 std::vector<std::string> PlanCommands(const ActivePlan& plan) {
   char buf[256];
   std::vector<std::string> commands;
@@ -309,15 +280,8 @@ std::vector<std::string> PlanCommands(const ActivePlan& plan) {
   commands.push_back(buf);
   std::snprintf(buf, sizeof(buf), "jitter_ms %.3f", plan.jitter_ms);
   commands.push_back(buf);
-  if (!plan.island.empty()) {
-    std::string partition = "partition";
-    for (const std::string& endpoint : plan.island) {
-      partition += " " + endpoint;
-    }
-    commands.push_back(partition);
-  } else {
-    commands.push_back("heal");
-  }
+  commands.push_back(plan.island.empty() ? "heal"
+                                          : PartitionCommand(plan.island));
   return commands;
 }
 
@@ -328,7 +292,7 @@ bool WaitForHealth(const NodeProc& node, const std::string& needle,
   const int64_t deadline = MonotonicNanos() + int64_t{budget_ms} * 1000000;
   while (MonotonicNanos() < deadline && g_stop == 0) {
     std::optional<std::string> reply =
-        UdpAsk(node.stats_port, "health", 1, 300);
+        UdpQuery(Loopback(node.stats_port), "health", 300);
     if (reply.has_value() && reply->find(needle) != std::string::npos &&
         reply->find("troupe unbound") == std::string::npos) {
       return true;
@@ -404,67 +368,6 @@ void WriteJson(const RunResult& r, const std::string& path) {
 }
 
 // -------------------------------------------------------------- main --
-
-struct Options {
-  uint64_t seed = 1;
-  std::string dir;
-  std::string bin;
-  int members = 3;
-  int horizon_s = 25;
-  int actions = 6;
-  int base_port = 38400;
-  std::string json;
-  std::string workload = "echo";
-};
-
-bool ParseArgs(int argc, char** argv, Options* out) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const size_t eq = arg.find('=');
-    if (eq == std::string::npos) {
-      std::fprintf(stderr, "nemesis: bad argument '%s' (want key=value)\n",
-                   arg.c_str());
-      return false;
-    }
-    const std::string key = arg.substr(0, eq);
-    const std::string value = arg.substr(eq + 1);
-    if (key == "seed") {
-      out->seed = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (key == "dir") {
-      out->dir = value;
-    } else if (key == "bin") {
-      out->bin = value;
-    } else if (key == "members") {
-      out->members = std::atoi(value.c_str());
-    } else if (key == "horizon_s") {
-      out->horizon_s = std::atoi(value.c_str());
-    } else if (key == "actions") {
-      out->actions = std::atoi(value.c_str());
-    } else if (key == "base_port") {
-      out->base_port = std::atoi(value.c_str());
-    } else if (key == "json") {
-      out->json = value;
-    } else if (key == "workload") {
-      if (value != "echo" && value != "replfs") {
-        std::fprintf(stderr, "nemesis: workload must be echo|replfs\n");
-        return false;
-      }
-      out->workload = value;
-    } else {
-      std::fprintf(stderr, "nemesis: unknown key '%s'\n", key.c_str());
-      return false;
-    }
-  }
-  if (out->members < 2 || out->members > 8) {
-    std::fprintf(stderr, "nemesis: members must be in [2, 8]\n");
-    return false;
-  }
-  if (out->horizon_s < 10 || out->actions < 1) {
-    std::fprintf(stderr, "nemesis: want horizon_s >= 10 and actions >= 1\n");
-    return false;
-  }
-  return true;
-}
 
 // Blocks until `pid` exits or `budget_ms` passes; returns the exit code
 // (or -1 on timeout / abnormal exit).
@@ -560,14 +463,36 @@ bool ParseClientReport(const std::string& log_path, RunResult* result) {
   return found;
 }
 
-int Main(int argc, char** argv) {
-  Options opt;
-  if (!ParseArgs(argc, argv, &opt)) {
-    std::fprintf(stderr,
-                 "usage: circus_nemesis [seed=N] [dir=PATH] [bin=PATH] "
-                 "[members=M] [horizon_s=S] [actions=N] [base_port=P] "
-                 "[json=PATH] [workload=echo|replfs]\n");
-    return 2;
+}  // namespace
+
+int cli::Nemesis(int argc, char** argv) {
+  uint64_t seed = 1;
+  std::string dir;
+  int members = 3;
+  int horizon_s = 25;
+  int actions = 6;
+  int base_port = 38400;
+  std::string json;
+  std::string workload = "echo";
+  const Flag flags[] = {
+      {"--seed", &seed, "N", "chaos schedule seed (default 1)"},
+      {"--dir", &dir, "PATH",
+       "configs, logs and trace shards (default: a fresh /tmp dir)"},
+      {"--members", &members, "M", "troupe members (default 3)", 2, 8},
+      {"--horizon_s", &horizon_s, "S", "schedule horizon (default 25)",
+       10},
+      {"--actions", &actions, "N", "fault actions (default 6)", 1},
+      {"--base_port", &base_port, "P",
+       "first of the testbed's ports (default 38400)", 1, 65535},
+      {"--json", &json, "PATH", "summary JSON (default stdout)"},
+      {"--workload", &workload, "echo|replfs",
+       "troupe application (default echo)"},
+  };
+  if (!ParseFlags(argc, argv, flags)) {
+    return kUsageError;
+  }
+  if (workload != "echo" && workload != "replfs") {
+    return UsageError(argv[0], flags, "--workload must be echo or replfs");
   }
   struct sigaction sa {};
   sa.sa_handler = HandleStop;
@@ -577,47 +502,34 @@ int Main(int argc, char** argv) {
   // SIGKILLed children must not leave the testbed wedged on a dead pipe.
   std::signal(SIGPIPE, SIG_IGN);
 
-  if (opt.dir.empty()) {
-    char tmpl[] = "/tmp/circus_nemesis.XXXXXX";
+  if (dir.empty()) {
+    char tmpl[] = "/tmp/circus-nemesis.XXXXXX";
     const char* made = mkdtemp(tmpl);
     if (made == nullptr) {
       std::fprintf(stderr, "nemesis: mkdtemp: %s\n", std::strerror(errno));
       return 2;
     }
-    opt.dir = made;
-  }
-  if (opt.bin.empty()) {
-    // Default: circus_node sits next to this binary.
-    std::string self = argv[0];
-    const size_t slash = self.rfind('/');
-    opt.bin = (slash == std::string::npos ? std::string(".")
-                                          : self.substr(0, slash)) +
-              "/circus_node";
-  }
-  if (access(opt.bin.c_str(), X_OK) != 0) {
-    std::fprintf(stderr, "nemesis: %s is not executable\n", opt.bin.c_str());
-    return 2;
+    dir = made;
   }
 
   const int64_t start_ns = MonotonicNanos();
   RunResult result;
-  result.seed = opt.seed;
+  result.seed = seed;
 
   // ------------------------------------------------------ the testbed --
   Testbed bed;
-  bed.dir = opt.dir;
-  bed.bin = opt.bin;
-  bed.seed = opt.seed;
-  bed.workload = opt.workload;
+  bed.dir = dir;
+  bed.seed = seed;
+  bed.workload = workload;
   const auto port_at = [&](int i) {
-    return static_cast<uint16_t>(opt.base_port + i);
+    return static_cast<uint16_t>(base_port + i);
   };
   bed.ringmaster.role = "ringmaster";
   bed.ringmaster.port = port_at(0);
   bed.ringmaster.stats_port = port_at(40);
   bed.ringmaster.faults_port = port_at(80);
   bed.ringmaster.base_name = "ringmaster-" + std::to_string(port_at(0));
-  for (int m = 1; m <= opt.members; ++m) {
+  for (int m = 1; m <= members; ++m) {
     NodeProc member;
     member.role = "member";
     member.port = port_at(m);
@@ -633,9 +545,9 @@ int Main(int argc, char** argv) {
     bed.members.push_back(member);
   }
   bed.client.role = "client";
-  bed.client.port = port_at(opt.members + 1);
-  bed.client.stats_port = port_at(40 + opt.members + 1);
-  bed.client.faults_port = port_at(80 + opt.members + 1);
+  bed.client.port = port_at(members + 1);
+  bed.client.stats_port = port_at(40 + members + 1);
+  bed.client.faults_port = port_at(80 + members + 1);
   bed.client.base_name = "client-" + std::to_string(bed.client.port);
   if (bed.workload == "replfs") {
     // The availability probe: one single-block replfs transaction per
@@ -663,7 +575,7 @@ int Main(int argc, char** argv) {
   std::fprintf(stderr,
                "nemesis: seed=%" PRIu64
                " dir=%s members=%d horizon=%ds workload=%s\n",
-               opt.seed, bed.dir.c_str(), opt.members, opt.horizon_s,
+               seed, bed.dir.c_str(), members, horizon_s,
                bed.workload.c_str());
 
   SpawnNode(bed, bed.ringmaster);
@@ -687,16 +599,16 @@ int Main(int argc, char** argv) {
     return 2;
   }
   std::fprintf(stderr, "nemesis: testbed up (%d members joined)\n",
-               opt.members);
+               members);
 
   // ----------------------------------------------------- the schedule --
   chaos::ScheduleOptions schedule_options;
-  schedule_options.horizon = sim::Duration::Seconds(opt.horizon_s);
+  schedule_options.horizon = sim::Duration::Seconds(horizon_s);
   schedule_options.min_start = sim::Duration::Seconds(3);
-  schedule_options.actions = opt.actions;
+  schedule_options.actions = actions;
   schedule_options.skew_weight = 0;  // one kernel clock on loopback
   const chaos::Schedule schedule =
-      chaos::GenerateSchedule(opt.seed, schedule_options);
+      chaos::GenerateSchedule(seed, schedule_options);
   result.schedule_digest = schedule.Digest();
   result.actions = static_cast<int>(schedule.actions.size());
   std::fprintf(stderr, "nemesis: schedule digest=%" PRIu64 "\n%s",
@@ -773,10 +685,7 @@ int Main(int argc, char** argv) {
             plan.island.push_back("127.0.0.1:" +
                                   std::to_string(member.port));
           }
-          std::string partition = "partition";
-          for (const std::string& endpoint : plan.island) {
-            partition += " " + endpoint;
-          }
+          const std::string partition = PartitionCommand(plan.island);
           std::fprintf(stderr, "nemesis: %s\n", partition.c_str());
           BroadcastFault(bed, partition);
           ++result.partitions;
@@ -923,7 +832,7 @@ int Main(int argc, char** argv) {
     }
   }
   result.captures = shard_paths.size();
-  // Default endpoint options are what circus_node runs with. The member
+  // Default endpoint options are what `circus node` runs with. The member
   // address list stays empty: members legitimately exchange get_state
   // during joins and rejoins, which the member-to-member check would
   // misread as a Section 4.3.3 violation.
@@ -944,7 +853,7 @@ int Main(int argc, char** argv) {
 
   result.wall_s =
       static_cast<double>(MonotonicNanos() - start_ns) / 1e9;
-  WriteJson(result, opt.json);
+  WriteJson(result, json);
   std::fprintf(stderr,
                "nemesis: %s (calls=%zu ok=%zu failed=%zu violations=%zu "
                "converged=%d restarts=%d)\n",
@@ -954,7 +863,4 @@ int Main(int argc, char** argv) {
   return result.Passed() ? 0 : 1;
 }
 
-}  // namespace
 }  // namespace circus::rt
-
-int main(int argc, char** argv) { return circus::rt::Main(argc, argv); }

@@ -1,5 +1,5 @@
-// circus_node: one Circus node over real UDP. Reads a small key=value
-// config (see node_config.h) and runs one role:
+// `circus node CONFIG`: one Circus node over real UDP. Reads a small
+// key=value config (see node_config.h) and runs one role:
 //
 //   ringmaster  serves the binding interface on its listen address;
 //   member      exports the configured interface, joins the troupe via
@@ -10,22 +10,24 @@
 //
 // Every node is observable while it runs (DESIGN.md Section 6): with
 // stats_port= it answers metrics/health/spans/latency datagrams, with
-// trace_dir= it streams its event shard to disk for circus_trace_merge,
+// trace_dir= it streams its event shard to disk for `circus merge`,
 // and with slow_call_us= it dumps every call slower than the threshold
 // to the shard as a slow_call event. SIGINT and SIGTERM shut the node
 // down gracefully — final metrics snapshot and trace shard flushed
 // before exit.
 //
-// A loopback testbed is a handful of circus_node processes sharing
+// A loopback testbed is a handful of `circus node` processes sharing
 // 127.0.0.1; a LAN deployment is the same configs with real addresses.
 #include <fcntl.h>
 #include <time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <csignal>
 #include <cstdio>
 #include <functional>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <string>
 #include <vector>
@@ -40,6 +42,7 @@
 #include "src/core/process.h"
 #include "src/marshal/marshal.h"
 #include "src/net/fault_fabric.h"
+#include "src/rt/cli.h"
 #include "src/rt/fault_control.h"
 #include "src/rt/introspect.h"
 #include "src/rt/node_config.h"
@@ -174,7 +177,7 @@ std::optional<FaultWiring> WireFaults(Runtime& runtime, sim::Host* host,
       FaultControl::Open(&runtime, host, wiring.fabric.get(),
                          config.faults_port);
   if (!control.ok()) {
-    std::fprintf(stderr, "circus_node: cannot bind faults_port %u: %s\n",
+    std::fprintf(stderr, "circus node: cannot bind faults_port %u: %s\n",
                  config.faults_port, control.status().ToString().c_str());
     return std::nullopt;
   }
@@ -189,7 +192,7 @@ bool StatsBindFailed(const NodeConfig& config,
   if (node_obs.stats_status().ok()) {
     return false;
   }
-  std::fprintf(stderr, "circus_node: cannot bind stats_port %u: %s\n",
+  std::fprintf(stderr, "circus node: cannot bind stats_port %u: %s\n",
                config.stats_port,
                node_obs.stats_status().ToString().c_str());
   return true;
@@ -197,22 +200,8 @@ bool StatsBindFailed(const NodeConfig& config,
 
 // --------------------------------------------------------------- roles --
 
-int RunRingmaster(const NodeConfig& config) {
-  Runtime runtime;
-  InstallShutdownHandling(runtime);
-  sim::Host* host = runtime.AddHost("ringmaster", config.listen.host);
-  NodeObservability node_obs(&runtime, host, config);
-  if (StatsBindFailed(config, node_obs)) {
-    return 1;
-  }
-  std::optional<FaultWiring> faults =
-      WireFaults(runtime, host, node_obs, config);
-  if (!faults.has_value()) {
-    return 1;
-  }
-  core::RpcProcess process(faults->protocol_fabric, host,
-                           config.listen.port);
-  node_obs.SetProcess(&process);
+int RunRingmaster(const NodeConfig& config, Runtime& runtime,
+                  NodeObservability& node_obs, core::RpcProcess& process) {
   binding::RingmasterServer server(&process);
   server.BootstrapSelf(BootstrapRingmasterTroupe(config.listen));
   NODE_LOG(runtime) << "ringmaster on " << config.listen.ToString();
@@ -220,22 +209,9 @@ int RunRingmaster(const NodeConfig& config) {
   return FinishNode(runtime, node_obs, 0);
 }
 
-int RunMember(const NodeConfig& config) {
-  Runtime runtime;
-  InstallShutdownHandling(runtime);
-  sim::Host* host = runtime.AddHost("member", config.listen.host);
-  NodeObservability node_obs(&runtime, host, config);
-  if (StatsBindFailed(config, node_obs)) {
-    return 1;
-  }
-  std::optional<FaultWiring> faults =
-      WireFaults(runtime, host, node_obs, config);
-  if (!faults.has_value()) {
-    return 1;
-  }
-  core::RpcProcess process(faults->protocol_fabric, host,
-                           config.listen.port);
-  node_obs.SetProcess(&process);
+int RunMember(const NodeConfig& config, Runtime& runtime,
+              NodeObservability& node_obs, core::RpcProcess& process) {
+  sim::Host* host = process.host();
   binding::BindingClient binding(
       &process, BootstrapRingmasterTroupe(config.ringmaster));
   binding::BindingCache cache(&binding);
@@ -376,18 +352,55 @@ apps::replfs::Client::Body MakeWriteBlockBody(std::string file,
   };
 }
 
-struct ReplFsProgress {
+struct ClientProgress {
   std::vector<double> latencies_ms;
   size_t failed = 0;
   bool finished = false;
   bool ok = true;
-  bool verified = false;
+  bool verified = false;  // replfs verify probe
 };
+
+// Both workloads' epilogue: the run's verdict and its summary line.
+int ReportClient(const NodeConfig& config, Runtime& runtime,
+                 NodeObservability& node_obs, const ClientProgress& progress) {
+  // An operator stop (SIGINT/SIGTERM) mid-run is a graceful exit, not a
+  // failure: report whatever completed and flush as usual.
+  const std::vector<double>& ms = progress.latencies_ms;
+  const bool stopped_early = !progress.finished && ShutdownRequested();
+  if (!stopped_early && !config.resilient &&
+      (!progress.finished || !progress.ok || ms.empty())) {
+    CIRCUS_LOG_AT(LogLevel::kError, runtime.now().nanos())
+        << "client run failed";
+    return FinishNode(runtime, node_obs, 1);
+  }
+  if (ms.empty() && !config.resilient) {
+    return FinishNode(runtime, node_obs, 0);
+  }
+  const size_t ok_calls = ms.size();
+  const auto [min, max] = std::minmax_element(ms.begin(), ms.end());
+  const double mean =
+      ok_calls > 0 ? std::accumulate(ms.begin(), ms.end(), 0.0) / ok_calls
+                   : 0.0;
+  const double min_ms = ok_calls > 0 ? *min : 0.0;
+  const double max_ms = ok_calls > 0 ? *max : 0.0;
+  if (config.resilient) {
+    // The availability line the nemesis parses: attempted/ok/failed.
+    std::printf(
+        "calls=%zu ok=%zu failed=%zu mean_ms=%.3f min_ms=%.3f "
+        "max_ms=%.3f\n",
+        ok_calls + progress.failed, ok_calls, progress.failed, mean, min_ms,
+        max_ms);
+  } else {
+    std::printf("calls=%zu mean_ms=%.3f min_ms=%.3f max_ms=%.3f\n",
+                ok_calls, mean, min_ms, max_ms);
+  }
+  return FinishNode(runtime, node_obs, 0);
+}
 
 sim::Task<void> ReplFsClientLoop(Runtime* rt, core::RpcProcess* p,
                                  binding::BindingCache* c,
                                  apps::replfs::Client* fs, NodeConfig cfg,
-                                 std::shared_ptr<ReplFsProgress> out) {
+                                 std::shared_ptr<ClientProgress> out) {
   const core::ThreadId thread = p->NewRootThread();
   sim::Rng rng((static_cast<uint64_t>(p->process_address().port) << 32) ^
                static_cast<uint64_t>(p->host()->executor().now().nanos()));
@@ -489,7 +502,7 @@ int RunReplFsClient(const NodeConfig& config, Runtime& runtime,
                     NodeObservability& node_obs, core::RpcProcess* process,
                     binding::BindingCache* cache) {
   apps::replfs::Client fs(process);
-  auto progress = std::make_shared<ReplFsProgress>();
+  auto progress = std::make_shared<ClientProgress>();
   process->host()->Spawn(
       ReplFsClientLoop(&runtime, process, cache, &fs, config, progress));
   runtime.RunUntil(
@@ -499,58 +512,12 @@ int RunReplFsClient(const NodeConfig& config, Runtime& runtime,
     std::printf("verify=%s\n", progress->verified ? "ok" : "failed");
     return FinishNode(runtime, node_obs, progress->verified ? 0 : 1);
   }
-  const bool stopped_early = !progress->finished && ShutdownRequested();
-  if (!stopped_early && !config.resilient &&
-      (!progress->finished || !progress->ok ||
-       progress->latencies_ms.empty())) {
-    CIRCUS_LOG_AT(LogLevel::kError, runtime.now().nanos())
-        << "replfs client run failed";
-    return FinishNode(runtime, node_obs, 1);
-  }
-  double total = 0;
-  double min = 0;
-  double max = 0;
-  if (!progress->latencies_ms.empty()) {
-    min = progress->latencies_ms.front();
-    max = min;
-    for (double ms : progress->latencies_ms) {
-      total += ms;
-      min = ms < min ? ms : min;
-      max = ms > max ? ms : max;
-    }
-  }
-  const size_t ok_calls = progress->latencies_ms.size();
-  const double mean = ok_calls > 0 ? total / ok_calls : 0.0;
-  if (config.resilient) {
-    // Same availability line the nemesis parses for the echo workload.
-    std::printf(
-        "calls=%zu ok=%zu failed=%zu mean_ms=%.3f min_ms=%.3f "
-        "max_ms=%.3f\n",
-        ok_calls + progress->failed, ok_calls, progress->failed, mean, min,
-        max);
-  } else {
-    std::printf("calls=%zu mean_ms=%.3f min_ms=%.3f max_ms=%.3f\n",
-                ok_calls, mean, min, max);
-  }
-  return FinishNode(runtime, node_obs, 0);
+  return ReportClient(config, runtime, node_obs, *progress);
 }
 
-int RunClient(const NodeConfig& config) {
-  Runtime runtime;
-  InstallShutdownHandling(runtime);
-  sim::Host* host = runtime.AddHost("client", config.listen.host);
-  NodeObservability node_obs(&runtime, host, config);
-  if (StatsBindFailed(config, node_obs)) {
-    return 1;
-  }
-  std::optional<FaultWiring> faults =
-      WireFaults(runtime, host, node_obs, config);
-  if (!faults.has_value()) {
-    return 1;
-  }
-  core::RpcProcess process(faults->protocol_fabric, host,
-                           config.listen.port);
-  node_obs.SetProcess(&process);
+int RunClient(const NodeConfig& config, Runtime& runtime,
+              NodeObservability& node_obs, core::RpcProcess& process) {
+  sim::Host* host = process.host();
   binding::BindingClient binding(
       &process, BootstrapRingmasterTroupe(config.ringmaster));
   binding::BindingCache cache(&binding);
@@ -561,16 +528,10 @@ int RunClient(const NodeConfig& config) {
   }
   process.SetClientTroupeResolver(cache.MakeResolver());
 
-  struct Progress {
-    std::vector<double> latencies_ms;
-    size_t failed = 0;
-    bool finished = false;
-    bool ok = true;
-  };
-  auto progress = std::make_shared<Progress>();
+  auto progress = std::make_shared<ClientProgress>();
   host->Spawn([](Runtime* rt, core::RpcProcess* p, binding::BindingCache* c,
                  NodeConfig cfg,
-                 std::shared_ptr<Progress> out) -> sim::Task<void> {
+                 std::shared_ptr<ClientProgress> out) -> sim::Task<void> {
     const core::ThreadId thread = p->NewRootThread();
     const circus::Bytes args(static_cast<size_t>(cfg.payload), 0x5A);
     core::CallOptions opts;
@@ -616,55 +577,52 @@ int RunClient(const NodeConfig& config) {
   runtime.RunUntil(
       [progress] { return progress->finished || ShutdownRequested(); },
       sim::Duration::Seconds(60 + config.calls));
-  // An operator stop (SIGINT/SIGTERM) mid-run is a graceful exit, not a
-  // failure: report whatever completed and flush as usual.
-  const bool stopped_early = !progress->finished && ShutdownRequested();
-  if (!stopped_early && !config.resilient &&
-      (!progress->finished || !progress->ok ||
-       progress->latencies_ms.empty())) {
-    CIRCUS_LOG_AT(LogLevel::kError, runtime.now().nanos())
-        << "client run failed";
-    return FinishNode(runtime, node_obs, 1);
-  }
-  if (progress->latencies_ms.empty() && !config.resilient) {
-    return FinishNode(runtime, node_obs, 0);
-  }
-  double total = 0;
-  double min = 0;
-  double max = 0;
-  if (!progress->latencies_ms.empty()) {
-    min = progress->latencies_ms.front();
-    max = min;
-    for (double ms : progress->latencies_ms) {
-      total += ms;
-      min = ms < min ? ms : min;
-      max = ms > max ? ms : max;
-    }
-  }
-  const size_t ok_calls = progress->latencies_ms.size();
-  const double mean = ok_calls > 0 ? total / ok_calls : 0.0;
-  if (config.resilient) {
-    // The availability line the nemesis parses: attempted/ok/failed.
-    std::printf(
-        "calls=%zu ok=%zu failed=%zu mean_ms=%.3f min_ms=%.3f "
-        "max_ms=%.3f\n",
-        ok_calls + progress->failed, ok_calls, progress->failed, mean, min,
-        max);
-  } else {
-    std::printf("calls=%zu mean_ms=%.3f min_ms=%.3f max_ms=%.3f\n",
-                ok_calls, mean, min, max);
-  }
-  return FinishNode(runtime, node_obs, 0);
+  return ReportClient(config, runtime, node_obs, *progress);
 }
 
-int Main(int argc, char** argv) {
-  if (argc != 2) {
-    std::fprintf(stderr, "usage: circus_node <config-file>\n");
-    return 2;
+// Every role runs on the same stack: the runtime, one host, the node's
+// observability, the optional fault fabric, and the protocol process.
+int RunNode(const NodeConfig& config) {
+  Runtime runtime;
+  InstallShutdownHandling(runtime);
+  sim::Host* host = runtime.AddHost(config.RoleName(), config.listen.host);
+  NodeObservability node_obs(&runtime, host, config);
+  if (StatsBindFailed(config, node_obs)) {
+    return 1;
   }
-  circus::StatusOr<NodeConfig> config = LoadNodeConfig(argv[1]);
+  std::optional<FaultWiring> faults =
+      WireFaults(runtime, host, node_obs, config);
+  if (!faults.has_value()) {
+    return 1;
+  }
+  core::RpcProcess process(faults->protocol_fabric, host,
+                           config.listen.port);
+  node_obs.SetProcess(&process);
+  switch (config.role) {
+    case NodeConfig::Role::kRingmaster:
+      return RunRingmaster(config, runtime, node_obs, process);
+    case NodeConfig::Role::kMember:
+      return RunMember(config, runtime, node_obs, process);
+    case NodeConfig::Role::kClient:
+      return RunClient(config, runtime, node_obs, process);
+  }
+  return 2;
+}
+
+}  // namespace
+
+int cli::Node(int argc, char** argv) {
+  std::string config_path;
+  const Flag flags[] = {
+      {"config-file", &config_path, nullptr,
+       "key = value node config (see src/rt/node_config.h)"},
+  };
+  if (!ParseFlags(argc, argv, flags)) {
+    return kUsageError;
+  }
+  circus::StatusOr<NodeConfig> config = LoadNodeConfig(config_path);
   if (!config.ok()) {
-    std::fprintf(stderr, "circus_node: %s\n",
+    std::fprintf(stderr, "circus node: %s\n",
                  config.status().ToString().c_str());
     return 2;
   }
@@ -672,18 +630,7 @@ int Main(int argc, char** argv) {
   if (GetLogLevel() > LogLevel::kInfo) {
     SetLogLevel(LogLevel::kInfo);  // a daemon should say what it is doing
   }
-  switch (config->role) {
-    case NodeConfig::Role::kRingmaster:
-      return RunRingmaster(*config);
-    case NodeConfig::Role::kMember:
-      return RunMember(*config);
-    case NodeConfig::Role::kClient:
-      return RunClient(*config);
-  }
-  return 2;
+  return RunNode(*config);
 }
 
-}  // namespace
 }  // namespace circus::rt
-
-int main(int argc, char** argv) { return circus::rt::Main(argc, argv); }

@@ -37,39 +37,6 @@ circus::StatusOr<int> ParseInt(const std::string& key,
 
 }  // namespace
 
-circus::StatusOr<net::NetAddress> ParseNetAddress(const std::string& text) {
-  const size_t colon = text.rfind(':');
-  if (colon == std::string::npos) {
-    return ParseError("address '" + text + "' missing ':port'");
-  }
-  circus::StatusOr<int> port = ParseInt("port", text.substr(colon + 1));
-  if (!port.ok()) {
-    return port.status();
-  }
-  if (*port < 0 || *port > 65535) {
-    return ParseError("port out of range in '" + text + "'");
-  }
-  uint32_t host = 0;
-  int octets = 0;
-  std::istringstream ip(text.substr(0, colon));
-  std::string part;
-  while (std::getline(ip, part, '.')) {
-    circus::StatusOr<int> octet = ParseInt("ip octet", part);
-    if (!octet.ok()) {
-      return octet.status();
-    }
-    if (*octet < 0 || *octet > 255) {
-      return ParseError("bad IPv4 octet in '" + text + "'");
-    }
-    host = (host << 8) | static_cast<uint32_t>(*octet);
-    ++octets;
-  }
-  if (octets != 4) {
-    return ParseError("'" + text + "' is not dotted-quad IPv4");
-  }
-  return net::NetAddress{host, static_cast<net::Port>(*port)};
-}
-
 circus::StatusOr<NodeConfig> ParseNodeConfig(const std::string& text) {
   NodeConfig config;
   bool have_listen = false;
@@ -104,14 +71,14 @@ circus::StatusOr<NodeConfig> ParseNodeConfig(const std::string& text) {
         return ParseError("unknown role '" + value + "'");
       }
     } else if (key == "listen") {
-      circus::StatusOr<net::NetAddress> addr = ParseNetAddress(value);
+      circus::StatusOr<net::NetAddress> addr = net::ParseNetAddress(value);
       if (!addr.ok()) {
         return addr.status();
       }
       config.listen = *addr;
       have_listen = true;
     } else if (key == "ringmaster") {
-      circus::StatusOr<net::NetAddress> addr = ParseNetAddress(value);
+      circus::StatusOr<net::NetAddress> addr = net::ParseNetAddress(value);
       if (!addr.ok()) {
         return addr.status();
       }

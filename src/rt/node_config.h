@@ -1,7 +1,7 @@
-// Configuration for the circus_node daemon: a small key=value file
+// Configuration for the `circus node` daemon: a small key=value file
 // (comments with '#', blank lines ignored) describing one node of a real
-// deployment. One circus_node OS process runs one role; a loopback
-// testbed is several circus_node processes (or one rt_loopback_test
+// deployment. One `circus node` OS process runs one role; a loopback
+// testbed is several `circus node` processes (or one rt_loopback_test
 // process) sharing 127.0.0.1.
 //
 //   role = ringmaster | member | client
@@ -68,9 +68,6 @@ struct NodeConfig {
   // "ringmaster" | "member" | "client".
   const char* RoleName() const;
 };
-
-// "10.1.2.3:9000" -> NetAddress (host byte order).
-circus::StatusOr<net::NetAddress> ParseNetAddress(const std::string& text);
 
 // Parses config text; unknown keys are an error (they are typos).
 circus::StatusOr<NodeConfig> ParseNodeConfig(const std::string& text);

@@ -1,6 +1,6 @@
 // Runtime: one real-time Circus node — an executor pumped by an IoLoop,
 // a set of hosts with the wall-clock cost model, and a UdpFabric over
-// real sockets. The rt analogue of net::World; tests and the circus_node
+// real sockets. The rt analogue of net::World; tests and the `circus node`
 // daemon build whatever topology they need. "Hosts" here are logical
 // failure domains (a crash reaps that host's coroutines exactly as in
 // the simulator); on a single machine they all share one kernel, which

@@ -1,8 +1,8 @@
-// circus_top: live per-node utilization for a whole testbed.
+// `circus top`: live per-node utilization for a whole testbed.
 //
-//   circus_top [--once] [--interval ms] [--timeout ms] host:port...
+//   circus top [--once] [--interval ms] [--timeout ms] host:port...
 //
-// Polls the stats port of every listed circus_node (the same UDP
+// Polls the stats port of every listed `circus node` (the same UDP
 // endpoint netcat can drive): `health` for the node name, role and
 // graded load, then the paged `util <offset>` query reassembled via
 // the `chunk <offset> <next|end>` framing, and renders one table row
@@ -13,37 +13,21 @@
 // interrupted. --once prints a single snapshot and exits. Exit codes:
 // 0 every node answered (at least once in live mode), 1 one or more
 // nodes never answered, 2 usage error.
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "src/rt/cli.h"
+#include "src/rt/udp_query.h"
+
 namespace circus::rt {
 namespace {
-
-constexpr const char kUsage[] =
-    "usage: circus_top [--once] [--interval ms] [--timeout ms] host:port...\n"
-    "\n"
-    "Polls the stats_port of each listed circus_node and renders a live\n"
-    "per-node, per-resource utilization table (USE method: busy share,\n"
-    "queue depth, op/byte rates, graded saturation level).\n"
-    "\n"
-    "  --once          print one snapshot and exit\n"
-    "  --interval ms   refresh period in live mode (default 2000)\n"
-    "  --timeout ms    per-datagram reply timeout (default 500)\n";
-
-struct Endpoint {
-  std::string spec;  // as given on the command line
-  sockaddr_in addr = {};
-};
 
 // One resource row parsed out of the util exposition.
 struct ResourceRow {
@@ -65,78 +49,6 @@ struct NodeReading {
   // Insertion-ordered: rows render in the order the node reported them.
   std::vector<std::pair<std::string, ResourceRow>> resources;
 };
-
-bool ParseEndpoint(const std::string& spec, Endpoint* out) {
-  const size_t colon = spec.rfind(':');
-  if (colon == std::string::npos || colon == 0 || colon + 1 == spec.size()) {
-    return false;
-  }
-  const std::string host = spec.substr(0, colon);
-  const long port = std::strtol(spec.c_str() + colon + 1, nullptr, 10);
-  if (port <= 0 || port > 65535) {
-    return false;
-  }
-  out->spec = spec;
-  out->addr.sin_family = AF_INET;
-  out->addr.sin_port = htons(static_cast<uint16_t>(port));
-  if (inet_pton(AF_INET, host.c_str(), &out->addr.sin_addr) != 1) {
-    return false;
-  }
-  return true;
-}
-
-// Sends one query datagram and waits up to timeout_ms for one reply.
-bool QueryOnce(int fd, const Endpoint& endpoint, const std::string& query,
-               int timeout_ms, std::string* reply) {
-  if (sendto(fd, query.data(), query.size(), 0,
-             reinterpret_cast<const sockaddr*>(&endpoint.addr),
-             sizeof(endpoint.addr)) < 0) {
-    return false;
-  }
-  pollfd pfd = {fd, POLLIN, 0};
-  if (poll(&pfd, 1, timeout_ms) <= 0) {
-    return false;
-  }
-  char buffer[65536];
-  const ssize_t n = recv(fd, buffer, sizeof(buffer), 0);
-  if (n < 0) {
-    return false;
-  }
-  reply->assign(buffer, static_cast<size_t>(n));
-  return true;
-}
-
-// Reassembles a paged query (`<query> <offset>` with chunk framing)
-// into the full reply text.
-bool QueryPaged(int fd, const Endpoint& endpoint, const std::string& query,
-                int timeout_ms, std::string* full) {
-  full->clear();
-  size_t offset = 0;
-  // 64 chunks * ~1.4 KiB body bounds the reply at ~90 KiB — far above
-  // any real util exposition; the cap just stops a framing bug from
-  // looping forever.
-  for (int rounds = 0; rounds < 64; ++rounds) {
-    std::string reply;
-    if (!QueryOnce(fd, endpoint, query + " " + std::to_string(offset),
-                   timeout_ms, &reply)) {
-      return false;
-    }
-    size_t echoed = 0;
-    char next[32] = {0};
-    const size_t header_end = reply.find('\n');
-    if (header_end == std::string::npos ||
-        std::sscanf(reply.c_str(), "chunk %zu %31s", &echoed, next) != 2 ||
-        echoed != offset) {
-      return false;
-    }
-    full->append(reply, header_end + 1, std::string::npos);
-    if (std::strcmp(next, "end") == 0) {
-      return true;
-    }
-    offset = static_cast<size_t>(std::strtoul(next, nullptr, 10));
-  }
-  return false;
-}
 
 // Pulls `key value` off a health line ("role follower", "load ok").
 bool HealthField(const std::string& line, const char* key, std::string* out) {
@@ -172,23 +84,18 @@ bool UtilLine(const std::string& line, std::string* family,
   return true;
 }
 
-NodeReading Poll(int fd, const Endpoint& endpoint, int timeout_ms) {
+NodeReading Poll(const net::NetAddress& endpoint, int timeout_ms) {
   NodeReading reading;
-  reading.name = endpoint.spec;
+  reading.name = endpoint.ToString();
 
-  std::string health;
-  if (!QueryOnce(fd, endpoint, "health", timeout_ms, &health)) {
+  const std::optional<std::string> health =
+      UdpQuery(endpoint, "health", timeout_ms);
+  if (!health.has_value()) {
     return reading;
   }
   reading.alive = true;
-  size_t pos = 0;
-  while (pos < health.size()) {
-    size_t eol = health.find('\n', pos);
-    if (eol == std::string::npos) {
-      eol = health.size();
-    }
-    const std::string line = health.substr(pos, eol - pos);
-    pos = eol + 1;
+  std::istringstream health_lines(*health);
+  for (std::string line; std::getline(health_lines, line);) {
     std::string value;
     if (HealthField(line, "ok", &value)) {
       reading.name = value;
@@ -199,19 +106,14 @@ NodeReading Poll(int fd, const Endpoint& endpoint, int timeout_ms) {
     }
   }
 
-  std::string util;
-  if (!QueryPaged(fd, endpoint, "util", timeout_ms, &util)) {
+  const std::optional<std::string> util =
+      UdpQueryPaged(endpoint, "util", timeout_ms);
+  if (!util.has_value()) {
     return reading;
   }
   std::map<std::string, size_t> index;
-  pos = 0;
-  while (pos < util.size()) {
-    size_t eol = util.find('\n', pos);
-    if (eol == std::string::npos) {
-      eol = util.size();
-    }
-    const std::string line = util.substr(pos, eol - pos);
-    pos = eol + 1;
+  std::istringstream util_lines(*util);
+  for (std::string line; std::getline(util_lines, line);) {
     std::string family;
     std::string resource;
     double value = 0;
@@ -266,15 +168,13 @@ const char* LevelName(int level) {
   }
 }
 
-void Render(const std::vector<Endpoint>& endpoints,
-            const std::vector<NodeReading>& readings) {
+void Render(const std::vector<NodeReading>& readings) {
   std::printf("%-14s %-12s %-14s %6s %6s %6s %8s %9s %11s %5s %s\n", "node",
               "role", "resource", "busy%", "mean%", "peak%", "queue", "ops/s",
               "bytes/s", "errs", "level");
-  for (size_t i = 0; i < readings.size(); ++i) {
-    const NodeReading& reading = readings[i];
-    if (!reading.alive) {
-      std::printf("%-14s %-12s %s\n", endpoints[i].spec.c_str(), "-",
+  for (const NodeReading& reading : readings) {
+    if (!reading.alive) {  // name is still the endpoint
+      std::printf("%-14s %-12s %s\n", reading.name.c_str(), "-",
                   "(no reply)");
       continue;
     }
@@ -293,61 +193,23 @@ void Render(const std::vector<Endpoint>& endpoints,
   }
 }
 
-int Main(int argc, char** argv) {
+}  // namespace
+
+int cli::Top(int argc, char** argv) {
   bool once = false;
   int interval_ms = 2000;
   int timeout_ms = 500;
-  std::vector<Endpoint> endpoints;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--once") == 0) {
-      once = true;
-    } else if (std::strcmp(argv[i], "--interval") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "circus_top: --interval needs milliseconds\n");
-        return 2;
-      }
-      interval_ms = std::atoi(argv[++i]);
-      if (interval_ms <= 0) {
-        std::fprintf(stderr, "circus_top: --interval must be positive\n");
-        return 2;
-      }
-    } else if (std::strcmp(argv[i], "--timeout") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "circus_top: --timeout needs milliseconds\n");
-        return 2;
-      }
-      timeout_ms = std::atoi(argv[++i]);
-      if (timeout_ms <= 0) {
-        std::fprintf(stderr, "circus_top: --timeout must be positive\n");
-        return 2;
-      }
-    } else if (std::strcmp(argv[i], "-h") == 0 ||
-               std::strcmp(argv[i], "--help") == 0) {
-      std::fputs(kUsage, stderr);
-      return 2;
-    } else if (argv[i][0] == '-') {
-      std::fprintf(stderr, "circus_top: unknown flag %s\n", argv[i]);
-      std::fputs(kUsage, stderr);
-      return 2;
-    } else {
-      Endpoint endpoint;
-      if (!ParseEndpoint(argv[i], &endpoint)) {
-        std::fprintf(stderr, "circus_top: bad endpoint %s (want ip:port)\n",
-                     argv[i]);
-        return 2;
-      }
-      endpoints.push_back(endpoint);
-    }
-  }
-  if (endpoints.empty()) {
-    std::fputs(kUsage, stderr);
-    return 2;
-  }
-
-  const int fd = socket(AF_INET, SOCK_DGRAM, 0);
-  if (fd < 0) {
-    std::perror("circus_top: socket");
-    return 1;
+  std::vector<net::NetAddress> endpoints;
+  const Flag flags[] = {
+      {"--once", &once, nullptr, "print one snapshot and exit"},
+      {"--interval", &interval_ms, "ms",
+       "refresh period in live mode (default 2000)", 1},
+      {"--timeout", &timeout_ms, "ms",
+       "per-datagram reply timeout (default 500)", 1},
+      {"host:port", &endpoints, nullptr, "a node's stats_port endpoint"},
+  };
+  if (!ParseFlags(argc, argv, flags)) {
+    return kUsageError;
   }
 
   std::vector<bool> ever_alive(endpoints.size(), false);
@@ -355,7 +217,7 @@ int Main(int argc, char** argv) {
     std::vector<NodeReading> readings;
     readings.reserve(endpoints.size());
     for (size_t i = 0; i < endpoints.size(); ++i) {
-      readings.push_back(Poll(fd, endpoints[i], timeout_ms));
+      readings.push_back(Poll(endpoints[i], timeout_ms));
       if (readings.back().alive) {
         ever_alive[i] = true;
       }
@@ -366,16 +228,15 @@ int Main(int argc, char** argv) {
     }
     const std::string refresh =
         once ? "once" : std::to_string(interval_ms) + " ms";
-    std::printf("circus_top — %zu node(s), refresh %s\n", endpoints.size(),
+    std::printf("circus top — %zu node(s), refresh %s\n", endpoints.size(),
                 refresh.c_str());
-    Render(endpoints, readings);
+    Render(readings);
     std::fflush(stdout);
     if (once) {
       break;
     }
     usleep(static_cast<useconds_t>(interval_ms) * 1000);
   }
-  close(fd);
   for (bool alive : ever_alive) {
     if (!alive) {
       return 1;
@@ -384,7 +245,4 @@ int Main(int argc, char** argv) {
   return 0;
 }
 
-}  // namespace
 }  // namespace circus::rt
-
-int main(int argc, char** argv) { return circus::rt::Main(argc, argv); }

@@ -1,25 +1,15 @@
-// circus_wire: decodes the packet events in trace shards and audits them
-// against the Section 4.2 paired-message protocol rules.
+// `circus wire`: decodes the packet events in trace shards and audits
+// them against the Section 4.2 paired-message protocol rules.
 //
-//   circus_wire [options] node.trace.jsonl...
-//     --member A.B.C.D:P    troupe member address (repeatable; enables
-//                           the Section 4.3.3 member-to-member check)
-//     --annotate IN.json    circus_trace_merge output to annotate: every
-//                           "call" span gains wire_packets / wire_bytes /
-//                           wire_data / wire_retransmits / wire_acks /
-//                           wire_probes args counting the packet send
-//                           events inside its time window
-//     -o OUT.json           annotated trace output (default
-//                           wire.trace.json)
-//     --no-conversations    omit the per-conversation rollup lines
-//
-// Shards come from circus_node (trace_dir=) or from any ShardWriter on a
+// With --annotate, every "call" span of a `circus merge` timeline gains
+// wire_packets / wire_bytes / wire_data / wire_retransmits / wire_acks /
+// wire_probes args counting the packet sends inside its time window.
+// Shards come from `circus node` (trace_dir=) or from any ShardWriter on a
 // World's bus; a shard the writer dropped lines from is audited as
 // incomplete. The audit report goes to stdout. Exit codes: 0 clean, 1
 // the auditor found protocol violations, 2 usage/input error.
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <optional>
 #include <set>
@@ -33,7 +23,7 @@
 #include "src/obs/json.h"
 #include "src/obs/shard.h"
 #include "src/obs/wire.h"
-#include "src/rt/node_config.h"
+#include "src/rt/cli.h"
 
 namespace circus::rt {
 namespace {
@@ -131,7 +121,7 @@ int Annotate(const std::string& in_path, const std::string& out_path,
              const std::vector<SendSample>& sends) {
   std::ifstream in(in_path, std::ios::binary);
   if (!in) {
-    std::fprintf(stderr, "circus_wire: cannot open %s\n", in_path.c_str());
+    std::fprintf(stderr, "circus wire: cannot open %s\n", in_path.c_str());
     return 2;
   }
   std::ostringstream buffer;
@@ -139,14 +129,14 @@ int Annotate(const std::string& in_path, const std::string& out_path,
   const std::string text = buffer.str();
   circus::StatusOr<obs::json::Value> parsed = obs::json::Parse(text);
   if (!parsed.ok()) {
-    std::fprintf(stderr, "circus_wire: %s: %s\n", in_path.c_str(),
+    std::fprintf(stderr, "circus wire: %s: %s\n", in_path.c_str(),
                  parsed.status().ToString().c_str());
     return 2;
   }
   const obs::json::Value* events = parsed->Find("traceEvents");
   if (events == nullptr ||
       events->type() != obs::json::Value::Type::kArray) {
-    std::fprintf(stderr, "circus_wire: %s has no traceEvents array\n",
+    std::fprintf(stderr, "circus wire: %s has no traceEvents array\n",
                  in_path.c_str());
     return 2;
   }
@@ -172,7 +162,7 @@ int Annotate(const std::string& in_path, const std::string& out_path,
   }
   circus::Status written = obs::WriteStringToFile(out_path, root.Dump());
   if (!written.ok()) {
-    std::fprintf(stderr, "circus_wire: %s\n", written.ToString().c_str());
+    std::fprintf(stderr, "circus wire: %s\n", written.ToString().c_str());
     return 2;
   }
   std::printf("annotated %zu call span(s) -> %s\n", annotated,
@@ -180,58 +170,29 @@ int Annotate(const std::string& in_path, const std::string& out_path,
   return 0;
 }
 
-int Main(int argc, char** argv) {
-  constexpr char kUsage[] =
-      "usage: circus_wire [--member addr]... [--annotate merged.json "
-      "[-o out.json]] [--no-conversations] node.trace.jsonl...\n";
+}  // namespace
+
+int cli::Wire(int argc, char** argv) {
   std::vector<std::string> shard_paths;
   std::string annotate_path;
   std::string out_path = "wire.trace.json";
-  bool conversations = true;
+  bool no_conversations = false;
   obs::wire::AuditOptions options =
       obs::wire::AuditOptionsFor(msg::EndpointOptions{});
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--member") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "circus_wire: --member needs an address\n");
-        return 2;
-      }
-      circus::StatusOr<net::NetAddress> addr = ParseNetAddress(argv[++i]);
-      if (!addr.ok()) {
-        std::fprintf(stderr, "circus_wire: %s\n",
-                     addr.status().ToString().c_str());
-        return 2;
-      }
-      options.member_addresses.push_back(*addr);
-    } else if (std::strcmp(argv[i], "--annotate") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "circus_wire: --annotate needs a path\n");
-        return 2;
-      }
-      annotate_path = argv[++i];
-    } else if (std::strcmp(argv[i], "-o") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "circus_wire: -o needs a path\n");
-        return 2;
-      }
-      out_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--no-conversations") == 0) {
-      conversations = false;
-    } else if (std::strcmp(argv[i], "-h") == 0 ||
-               std::strcmp(argv[i], "--help") == 0) {
-      std::fputs(kUsage, stderr);
-      return 2;
-    } else if (argv[i][0] == '-') {
-      std::fprintf(stderr, "circus_wire: unknown flag %s\n", argv[i]);
-      std::fputs(kUsage, stderr);
-      return 2;
-    } else {
-      shard_paths.push_back(argv[i]);
-    }
-  }
-  if (shard_paths.empty()) {
-    std::fputs(kUsage, stderr);
-    return 2;
+  const Flag flags[] = {
+      {"--member", &options.member_addresses, "addr",
+       "troupe member address (enables the Section 4.3.3 check)"},
+      {"--annotate", &annotate_path, "merged.json",
+       "`circus merge` output whose call spans gain wire-cost args"},
+      {"-o", &out_path, "out.json",
+       "annotated trace output (default wire.trace.json)"},
+      {"--no-conversations", &no_conversations, nullptr,
+       "omit the per-conversation rollup lines"},
+      {"node.trace.jsonl", &shard_paths, nullptr,
+       "trace shards (`circus node` trace_dir= output)"},
+  };
+  if (!ParseFlags(argc, argv, flags)) {
+    return kUsageError;
   }
 
   std::vector<obs::wire::WireSegment> decoded;
@@ -239,7 +200,7 @@ int Main(int argc, char** argv) {
   for (const std::string& path : shard_paths) {
     circus::StatusOr<obs::ShardFile> shard = obs::ReadShardFile(path);
     if (!shard.ok()) {
-      std::fprintf(stderr, "circus_wire: %s: %s\n", path.c_str(),
+      std::fprintf(stderr, "circus wire: %s: %s\n", path.c_str(),
                    shard.status().ToString().c_str());
       return 2;
     }
@@ -254,7 +215,7 @@ int Main(int argc, char** argv) {
     auditor.AddShard(*shard);
   }
   const obs::wire::AuditReport report = auditor.Finish();
-  std::fputs(report.Render(/*max_violations=*/50, conversations).c_str(),
+  std::fputs(report.Render(/*max_violations=*/50, !no_conversations).c_str(),
              stdout);
 
   if (!annotate_path.empty()) {
@@ -266,7 +227,4 @@ int Main(int argc, char** argv) {
   return report.violations.empty() ? 0 : 1;
 }
 
-}  // namespace
 }  // namespace circus::rt
-
-int main(int argc, char** argv) { return circus::rt::Main(argc, argv); }

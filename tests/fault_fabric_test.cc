@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "src/common/bytes.h"
+#include "src/common/endpoint.h"
 #include "src/common/status.h"
 #include "src/core/process.h"
 #include "src/net/address.h"
@@ -22,6 +23,9 @@
 #include "src/net/socket.h"
 #include "src/net/world.h"
 #include "src/obs/bus.h"
+#include "src/obs/export.h"
+#include "src/obs/shard.h"
+#include "src/rt/node_config.h"
 #include "src/rt/runtime.h"
 #include "src/sim/task.h"
 
@@ -229,21 +233,71 @@ TEST(FaultFabricTest, ApplyCommandRejectsMalformedInput) {
   EXPECT_FALSE(fabric.partitioned());
 }
 
+// Every endpoint form through the one strict parser and each caller's
+// accept set: node configs and CLI flags take any port; the
+// fault-control protocol adds its bare-port rule and refuses port 0; a
+// shard's origin field reads as 0 when malformed.
 TEST(FaultFabricTest, ParseEndpointForms) {
-  const std::optional<NetAddress> full =
-      FaultFabric::ParseEndpoint("10.1.2.3:9000");
-  ASSERT_TRUE(full.has_value());
-  EXPECT_EQ(full->host, 0x0A010203u);
-  EXPECT_EQ(full->port, 9000);
-  const std::optional<NetAddress> bare = FaultFabric::ParseEndpoint("8123");
-  ASSERT_TRUE(bare.has_value());
-  EXPECT_EQ(bare->host, 0x7F000001u);
-  EXPECT_EQ(bare->port, 8123);
-  EXPECT_FALSE(FaultFabric::ParseEndpoint("").has_value());
-  EXPECT_FALSE(FaultFabric::ParseEndpoint("10.1.2:9").has_value());
-  EXPECT_FALSE(FaultFabric::ParseEndpoint("1.2.3.4:").has_value());
-  EXPECT_FALSE(FaultFabric::ParseEndpoint("1.2.3.4:70000").has_value());
-  EXPECT_FALSE(FaultFabric::ParseEndpoint("words").has_value());
+  struct Case {
+    const char* text;
+    bool parses;         // ParseIpv4Endpoint / ParseNetAddress / configs
+    bool fault_control;  // FaultFabric::ParseEndpoint
+    uint32_t host;
+    uint16_t port;
+  };
+  const Case kCases[] = {
+      {"10.1.2.3:9000", true, true, 0x0A010203u, 9000},
+      {"255.255.255.255:65535", true, true, 0xFFFFFFFFu, 65535},
+      {"127.0.0.1:0", true, false, 0x7F000001u, 0},
+      {"8123", false, true, 0x7F000001u, 8123},
+      {"0", false, false, 0, 0},
+      {"", false, false, 0, 0},
+      {"words", false, false, 0, 0},
+      {"10.1.2:9", false, false, 0, 0},
+      {"1.2.3.4.5:9", false, false, 0, 0},
+      {"1.2.3.4.:9", false, false, 0, 0},
+      {"1..2.3:9", false, false, 0, 0},
+      {"1.2.3.256:9", false, false, 0, 0},
+      {"1111.2.3.4:9", false, false, 0, 0},
+      {"1.2.3.4:", false, false, 0, 0},
+      {":9000", false, false, 0, 0},
+      {"1.2.3.4:70000", false, false, 0, 0},
+      {"1.2.3.4:123456", false, false, 0, 0},
+      {"1.2.3.4:+80", false, false, 0, 0},
+      {"1.2.3.4:-1", false, false, 0, 0},
+      {"1.2.3.4 :80", false, false, 0, 0},
+      {"1.2.3.4: 80", false, false, 0, 0},
+      {"1.2.3.4:80:81", false, false, 0, 0},
+      {"10.0.0.3:9000junk", false, false, 0, 0},
+  };
+  for (const Case& c : kCases) {
+    SCOPED_TRACE(std::string("'") + c.text + "'");
+    uint32_t host = 0;
+    uint16_t port = 0;
+    EXPECT_EQ(ParseIpv4Endpoint(c.text, &host, &port), c.parses);
+    const circus::StatusOr<NetAddress> address = ParseNetAddress(c.text);
+    ASSERT_EQ(address.ok(), c.parses);
+    if (c.parses) {
+      EXPECT_EQ(*address, (NetAddress{c.host, c.port}));
+    }
+    EXPECT_EQ(rt::ParseNodeConfig(std::string("role = ringmaster\nlisten = ") +
+                                  c.text)
+                  .ok(),
+              c.parses);
+
+    const std::optional<NetAddress> control =
+        FaultFabric::ParseEndpoint(c.text);
+    ASSERT_EQ(control.has_value(), c.fault_control);
+    if (c.fault_control) {
+      EXPECT_EQ(*control, (NetAddress{c.host, c.port}));
+    }
+
+    obs::json::Value line = obs::EventToJson(obs::Event{});
+    line.Set("origin", c.text);
+    obs::Event event;
+    ASSERT_TRUE(obs::EventFromJson(line, &event));
+    EXPECT_EQ(event.origin, c.parses ? obs::PackAddress(c.host, c.port) : 0);
+  }
 }
 
 // ------------------------------------------ faults under the protocol --

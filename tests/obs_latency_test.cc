@@ -5,7 +5,7 @@
 // plain unanimous calls, for the troupe commit protocol, and for
 // ordered broadcast. Same-seed runs must render byte-identical reports,
 // and a planted slow handler must cross the slow-call threshold (the
-// negative test behind circus_node's slow_call_us= dump).
+// negative test behind `circus node`'s slow_call_us= dump).
 #include <gtest/gtest.h>
 
 #include <memory>

@@ -432,8 +432,8 @@ Task<void> CallEchoOnce(RpcProcess* client, Troupe troupe,
 // The acceptance scenario of the live-observability work: four nodes
 // (client + three troupe members) each record their own trace shard —
 // per-host filter and a distinct incarnation, exactly as four separate
-// circus_node processes would — one replicated call runs over real
-// loopback UDP, and circus_trace_merge's library joins the shards into
+// `circus node` processes would — one replicated call runs over real
+// loopback UDP, and `circus merge`'s library joins the shards into
 // a single timeline where the call is one root span whose execute
 // children span every member.
 TEST(RtLoopbackTest, TracedReplicatedCallMergesIntoOneSpanTree) {
@@ -525,7 +525,8 @@ TEST(RtLoopbackTest, TracedReplicatedCallMergesIntoOneSpanTree) {
 
 // NodeObservability without the datagram socket: HandleQuery is the
 // exact reply a stats datagram gets (the socket path itself is driven
-// end-to-end by scripts/check_realnet.sh against live circus_nodes).
+// end-to-end by scripts/check_realnet.sh against live `circus node`
+// processes).
 Task<void> CallEchoRepeatedly(RpcProcess* client, Troupe troupe,
                               ModuleNumber module, int calls, int* done) {
   const ThreadId thread = client->NewRootThread();
@@ -899,7 +900,7 @@ INSTANTIATE_TEST_SUITE_P(Fabrics, PagedPastEndTest, testing::Bool(),
 
 // -------------------------------------------------- crash and reboot ----
 
-// The circus_node crash-recovery path, in-process: a member is killed
+// The `circus node` crash-recovery path, in-process: a member is killed
 // without a goodbye (host crash + socket teardown, which is all SIGKILL
 // leaves behind) and a new process reboots on the SAME port. Its peers
 // — ringmaster and the surviving member — still hold duplicate-
@@ -977,7 +978,7 @@ TEST(RtLoopbackTest, RebootedMemberRejoinsDespitePeerDuplicateSuppression) {
   bool rejoined = false;
   reborn->process->host()->Spawn(
       [](Member* m, core::ModuleAddress stale, bool* done) -> Task<void> {
-        // The circus_node member recipe: evict the dead predecessor's
+        // The `circus node` member recipe: evict the dead predecessor's
         // registration (same address, so peers would otherwise copy
         // state from a registered-but-reborn-empty replica), then join.
         StatusOr<TroupeId> evicted =
@@ -1011,7 +1012,7 @@ TEST(RtLoopbackTest, RebootedMemberRejoinsDespitePeerDuplicateSuppression) {
 // ------------------------------------------------------ bind conflicts --
 
 // A stats_port collision must surface as a sticky, inspectable error —
-// circus_node turns it into a one-line fatal (fail fast beats a silent
+// `circus node` turns it into a one-line fatal (fail fast beats a silent
 // unobservable node).
 TEST(RtLoopbackTest, StatsPortBindConflictSurfacesFatalStatus) {
   Runtime runtime;
@@ -1056,7 +1057,7 @@ TEST(RtLoopbackTest, FaultControlCommandsAndBindConflict) {
   EXPECT_EQ((*control)->HandleCommand("loss 7").rfind("err ", 0), 0u);
 
   // One control endpoint per port: the second Open is the faults_port
-  // bind conflict circus_node fails fast on.
+  // bind conflict `circus node` fails fast on.
   StatusOr<std::unique_ptr<FaultControl>> conflict =
       FaultControl::Open(&runtime, host, &fabric, control_port);
   ASSERT_FALSE(conflict.ok());
