@@ -1,5 +1,7 @@
 #include "src/msg/paired_endpoint.h"
 
+#include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "src/common/check.h"
@@ -35,6 +37,10 @@ PairedEndpoint::PairedEndpoint(net::DatagramSocket* socket,
       incoming_calls_(
           std::make_unique<sim::Channel<Message>>(socket->host())) {
   if (net::Fabric* fabric = socket->fabric(); fabric != nullptr) {
+    const size_t limit = fabric->MaxDatagramBytes(host()->id());
+    options_.segment_data_bytes =
+        std::min(options_.segment_data_bytes,
+                 std::bit_floor(limit - kSegmentHeaderBytes));
     bus_ = fabric->event_bus();
     if (obs::MetricsRegistry* metrics = fabric->metrics();
         metrics != nullptr) {
@@ -297,19 +303,19 @@ sim::Task<void> PairedEndpoint::ReceiverLoop() {
           << "malformed segment from " << d.source.ToString();
       continue;
     }
-    HandleSegment(d.source, *seg);
+    HandleSegment(d.source, *std::move(seg));
   }
 }
 
 void PairedEndpoint::HandleSegment(const net::NetAddress& from,
-                                   const Segment& seg) {
+                                   Segment seg) {
   last_activity_[from] = host()->executor().now();
   if (seg.ack) {
     HandleAck(from, seg);
   } else if (seg.is_probe()) {
     HandleProbe(from, seg);
   } else {
-    HandleData(from, seg);
+    HandleData(from, std::move(seg));
   }
 }
 
@@ -382,8 +388,7 @@ void PairedEndpoint::ApplyImplicitAcks(const net::NetAddress& from,
   }
 }
 
-void PairedEndpoint::HandleData(const net::NetAddress& from,
-                                const Segment& seg) {
+void PairedEndpoint::HandleData(const net::NetAddress& from, Segment seg) {
   ApplyImplicitAcks(from, seg);
   const ExchangeKey key{from, seg.type, seg.call_number};
   auto done = completed_.find(key);
@@ -411,17 +416,23 @@ void PairedEndpoint::HandleData(const net::NetAddress& from,
     return;  // inconsistent header; drop like a garbled packet
   }
   const size_t index = seg.segment_number - 1;
-  r.parts[index] = seg.data;
+  r.parts[index] = std::move(seg.data);
   while (r.ack_number < r.total_segments &&
          r.parts[r.ack_number].has_value()) {
     ++r.ack_number;
   }
   const bool complete = (r.ack_number == r.total_segments);
   if (complete) {
-    std::vector<circus::Bytes> parts;
-    parts.reserve(r.parts.size());
-    for (std::optional<circus::Bytes>& p : r.parts) {
-      parts.push_back(std::move(*p));
+    circus::Bytes data;
+    if (r.parts.size() == 1) {
+      data = std::move(*r.parts[0]);
+    } else {
+      std::vector<circus::Bytes> parts;
+      parts.reserve(r.parts.size());
+      for (std::optional<circus::Bytes>& p : r.parts) {
+        parts.push_back(std::move(*p));
+      }
+      data = JoinSegments(parts);
     }
     const uint8_t total = r.total_segments;
     reassembly_.erase(key);
@@ -432,7 +443,7 @@ void PairedEndpoint::HandleData(const net::NetAddress& from,
     if (seg.type == MessageType::kReturn && seg.please_ack) {
       SendAck(from, seg.type, seg.call_number, total, total);
     }
-    DeliverMessage(from, seg.type, seg.call_number, JoinSegments(parts));
+    DeliverMessage(from, seg.type, seg.call_number, std::move(data));
     return;
   }
   if (seg.please_ack) {

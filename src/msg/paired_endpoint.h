@@ -58,9 +58,12 @@ struct EndpointOptions {
   enum class Mode { kSlidingWindow, kStopAndWait };
   Mode mode = Mode::kSlidingWindow;
 
-  // Maximum data bytes per segment (MTU minus the 8-byte header,
-  // Section 4.2.4).
-  size_t segment_data_bytes = 1024;
+  // Cap on the data bytes per segment. The endpoint segments to the
+  // smaller of this and the largest power of two that fits its fabric's
+  // datagram limit after the 8-byte header (Section 4.2.4): 1024 on the
+  // simulated Ethernet, 32768 on loopback. options() reports the size in
+  // effect.
+  size_t segment_data_bytes = 32768;
 
   // Retransmission of the first unacknowledged segment.
   sim::Duration retransmit_interval = sim::Duration::Millis(300);
@@ -181,10 +184,10 @@ class PairedEndpoint {
   };
 
   sim::Task<void> ReceiverLoop();
-  void HandleSegment(const net::NetAddress& from, const Segment& seg);
+  void HandleSegment(const net::NetAddress& from, Segment seg);
   void HandleAck(const net::NetAddress& from, const Segment& seg);
   void HandleProbe(const net::NetAddress& from, const Segment& seg);
-  void HandleData(const net::NetAddress& from, const Segment& seg);
+  void HandleData(const net::NetAddress& from, Segment seg);
   void ApplyImplicitAcks(const net::NetAddress& from, const Segment& seg);
   void SendAck(const net::NetAddress& to, MessageType type,
                uint32_t call_number, uint8_t total_segments,

@@ -28,11 +28,6 @@ class DatagramSocket;
 
 class Fabric {
  public:
-  // The largest datagram the fabric will carry (the MTU constraint of
-  // Section 4.2.4). Both the simulated Ethernet and the real UDP path
-  // enforce the same limit so segmenting behaves identically.
-  static constexpr size_t kMaxDatagramBytes = 1500;
-
   Fabric() = default;
   Fabric(const Fabric&) = delete;
   Fabric& operator=(const Fabric&) = delete;
@@ -40,6 +35,11 @@ class Fabric {
 
   // The (single) network address of an attached host.
   virtual HostAddress AddressOfHost(sim::Host::HostId id) const = 0;
+
+  // The largest datagram payload an attached host's sends may carry:
+  // the MTU constraint of Section 4.2.4, a property of the medium.
+  // PairedEndpoint sizes its segments to it.
+  virtual size_t MaxDatagramBytes(sim::Host::HostId id) const = 0;
 
   // The runtime's observability hub, carried here so every layer that
   // can reach the fabric (sockets, endpoints, processes) can publish
@@ -77,7 +77,7 @@ class Fabric {
   // Releases the socket's binding and any group memberships.
   virtual void Unbind(DatagramSocket* socket) = 0;
   // Entry point used by DatagramSocket::Send/SendRaw. `datagram.payload`
-  // must fit kMaxDatagramBytes.
+  // must fit the sender's MaxDatagramBytes.
   virtual void Transmit(sim::Host* sender, Datagram datagram) = 0;
   virtual void JoinGroup(HostAddress group, DatagramSocket* socket) = 0;
   virtual void LeaveGroup(HostAddress group, DatagramSocket* socket) = 0;

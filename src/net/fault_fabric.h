@@ -65,6 +65,9 @@ class FaultFabric : public Fabric {
   ~FaultFabric() override;
 
   HostAddress AddressOfHost(sim::Host::HostId id) const override;
+  size_t MaxDatagramBytes(sim::Host::HostId id) const override {
+    return inner_->MaxDatagramBytes(id);
+  }
 
   Fabric* inner() const { return inner_; }
 

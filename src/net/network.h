@@ -53,6 +53,10 @@ struct NetworkStats {
 
 class Network : public Fabric {
  public:
+  // The simulated Ethernet's MTU. Every segment size, packet count and
+  // byte count in the reproduced tables follows from it.
+  static constexpr size_t kMaxDatagramBytes = 1500;
+
   Network(sim::Executor* executor, sim::Rng rng)
       : executor_(executor), rng_(std::move(rng)) {}
 
@@ -61,6 +65,9 @@ class Network : public Fabric {
   // socket is opened on the host.
   void AttachHost(sim::Host* host, HostAddress address);
   HostAddress AddressOfHost(sim::Host::HostId id) const override;
+  size_t MaxDatagramBytes(sim::Host::HostId) const override {
+    return kMaxDatagramBytes;
+  }
 
   // --- Fault injection ---
   void set_default_fault_plan(const FaultPlan& plan) {

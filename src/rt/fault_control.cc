@@ -49,8 +49,8 @@ std::string FaultControl::HandleCommand(std::string_view command) {
     reply += '\n';
   }
   // One datagram per reply, same framing discipline as introspect.
-  if (reply.size() > net::Fabric::kMaxDatagramBytes) {
-    reply.resize(net::Fabric::kMaxDatagramBytes - 4);
+  if (reply.size() > kMaxQueryReplyBytes) {
+    reply.resize(kMaxQueryReplyBytes - 4);
     reply += "...\n";
   }
   return reply;

@@ -16,15 +16,12 @@ namespace circus::rt {
 
 namespace {
 
-// Replies must fit one datagram so `nc -u` conversations always work.
-constexpr size_t kMaxReplyBytes = net::Fabric::kMaxDatagramBytes;
-
 std::string Truncated(std::string text) {
-  if (text.size() <= kMaxReplyBytes) {
+  if (text.size() <= kMaxQueryReplyBytes) {
     return text;
   }
   constexpr std::string_view kMark = "...\n";
-  text.resize(kMaxReplyBytes - kMark.size());
+  text.resize(kMaxQueryReplyBytes - kMark.size());
   // Cut at a line boundary when there is one: consumers that validate
   // line formats (check_realnet) must never see a half metric line.
   const size_t last_newline = text.rfind('\n');
@@ -53,11 +50,11 @@ std::string Paged(const std::string& text, size_t offset) {
             ? std::snprintf(header, sizeof(header), "chunk %zu end\n", offset)
             : std::snprintf(header, sizeof(header), "chunk %zu %zu\n", offset,
                             next);
-    if (static_cast<size_t>(header_len) + body <= kMaxReplyBytes) {
+    if (static_cast<size_t>(header_len) + body <= kMaxQueryReplyBytes) {
       break;
     }
     // Shrinking the body can only shrink the header, so this converges.
-    body = kMaxReplyBytes - static_cast<size_t>(header_len);
+    body = kMaxQueryReplyBytes - static_cast<size_t>(header_len);
   }
   std::string reply(header, static_cast<size_t>(header_len));
   reply.append(text, offset, body);
@@ -252,9 +249,11 @@ void NodeObservability::WireUtilizationProbes() {
         sample.bytes = (now.bytes_sent - prev.bytes_sent) +
                        (now.bytes_delivered - prev.bytes_delivered);
         // EAGAIN/ENOBUFS backpressure drops are send_errors too, so
-        // they are already in this sum alongside oversize datagrams.
+        // they are already in this sum alongside oversize datagrams and
+        // the kernel's receive-queue drops.
         sample.errors = (now.send_errors - prev.send_errors) +
-                        (now.truncated - prev.truncated);
+                        (now.truncated - prev.truncated) +
+                        (now.kernel_drops - prev.kernel_drops);
         sample.queue =
             static_cast<double>(fabric->TotalReceiveBacklog());
         prev = now;

@@ -21,7 +21,7 @@
 //                    the node's UtilizationMonitor (USE method: loop
 //                    busy share, process CPU, socket backlog,
 //                    allocation rates), Prometheus text
-//    Replies are truncated to one datagram (net::Fabric MTU) so the
+//    Replies are truncated to one datagram (kMaxQueryReplyBytes) so the
 //    endpoint can be driven with nothing more than netcat. Replies too
 //    large for one datagram are readable in full through the paged
 //    forms `<query> <offset>` (any query above except health): the

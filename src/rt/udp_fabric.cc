@@ -5,8 +5,10 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <array>
 #include <cerrno>
 #include <cstring>
+#include <optional>
 #include <utility>
 
 #include "src/common/check.h"
@@ -14,6 +16,33 @@
 namespace circus::rt {
 
 namespace {
+
+// Datagrams one recvmmsg call reads at most. A shorter batch means the
+// socket is drained (epoll is level-triggered, so a datagram arriving
+// after the call wakes the loop again).
+constexpr unsigned kRecvBatch = 16;
+// One byte over the largest datagram, so an oversize one shows up as
+// such instead of being split.
+constexpr size_t kRecvSlotBytes = kLoopbackDatagramBytes + 1;
+
+// The drop count the kernel attaches (SO_RXQ_OVFL) to a datagram once
+// its socket has dropped any: the socket's total so far.
+std::optional<uint32_t> KernelDropCount(msghdr* header) {
+  for (cmsghdr* c = CMSG_FIRSTHDR(header); c != nullptr;
+       c = CMSG_NXTHDR(header, c)) {
+    if (c->cmsg_level == SOL_SOCKET && c->cmsg_type == SO_RXQ_OVFL) {
+      uint32_t count = 0;
+      std::memcpy(&count, CMSG_DATA(c), sizeof(count));
+      return count;
+    }
+  }
+  return std::nullopt;
+}
+
+// The default port-0 scan offset: a hash of the process id.
+uint32_t ProcessScanOffset() {
+  return static_cast<uint32_t>(getpid()) * 2654435761u;
+}
 
 sockaddr_in ToSockaddr(net::NetAddress addr) {
   sockaddr_in sa{};
@@ -28,6 +57,42 @@ net::NetAddress FromSockaddr(const sockaddr_in& sa) {
 }
 
 }  // namespace
+
+struct UdpFabric::RecvBatch {
+  // Points each header at its slot, name and control buffer, re-arming
+  // the lengths and flags the previous call overwrote.
+  void Reset() {
+    for (unsigned i = 0; i < kRecvBatch; ++i) {
+      iov[i] = {slot(i), kRecvSlotBytes};
+      msghdr& h = headers[i].msg_hdr;
+      h.msg_iov = &iov[i];
+      h.msg_iovlen = 1;
+      h.msg_name = &names[i];
+      h.msg_namelen = sizeof(names[i]);
+      h.msg_control = control[i];
+      h.msg_controllen = sizeof(control[i]);
+      h.msg_flags = 0;
+    }
+  }
+
+  unsigned char* slot(unsigned i) { return data.get() + i * kRecvSlotBytes; }
+
+  // Left uninitialised: a page becomes resident only once a datagram
+  // that long lands in it.
+  std::unique_ptr<unsigned char[]> data =
+      std::make_unique_for_overwrite<unsigned char[]>(kRecvBatch *
+                                                      kRecvSlotBytes);
+  std::array<mmsghdr, kRecvBatch> headers{};
+  std::array<iovec, kRecvBatch> iov{};
+  std::array<sockaddr_in, kRecvBatch> names{};
+  alignas(cmsghdr) char control[kRecvBatch][CMSG_SPACE(sizeof(uint32_t))] =
+      {};
+};
+
+UdpFabric::UdpFabric(IoLoop* loop)
+    : loop_(loop),
+      recv_(std::make_unique<RecvBatch>()),
+      scan_offset_(ProcessScanOffset()) {}
 
 UdpFabric::~UdpFabric() {
   // Sockets normally unbind themselves (Close / crash listener) before
@@ -49,6 +114,11 @@ net::HostAddress UdpFabric::AddressOfHost(sim::Host::HostId id) const {
   return it->second;
 }
 
+size_t UdpFabric::MaxDatagramBytes(sim::Host::HostId id) const {
+  return (AddressOfHost(id) >> 24) == 127 ? kLoopbackDatagramBytes
+                                          : kEthernetDatagramBytes;
+}
+
 circus::StatusOr<UdpFabric::Binding> UdpFabric::OpenAndBind(
     net::HostAddress ip, net::Port port) {
   const int fd =
@@ -57,6 +127,9 @@ circus::StatusOr<UdpFabric::Binding> UdpFabric::OpenAndBind(
     return circus::Status(circus::ErrorCode::kUnavailable,
                           std::string("socket: ") + std::strerror(errno));
   }
+  // Best effort: without it, kernel drops go uncounted.
+  const int one = 1;
+  setsockopt(fd, SOL_SOCKET, SO_RXQ_OVFL, &one, sizeof(one));
   if (port != 0) {
     sockaddr_in sa = ToSockaddr(net::NetAddress{ip, port});
     if (::bind(fd, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)) != 0) {
@@ -73,12 +146,13 @@ circus::StatusOr<UdpFabric::Binding> UdpFabric::OpenAndBind(
   }
   // Port 0: draw from the fabric's ephemeral range ourselves so the
   // range knob (and its exhaustion failure mode) behaves exactly as on
-  // the simulated Network.
+  // the simulated Network, but from this process's offset into it.
+  const int range = ephemeral_hi_ - ephemeral_lo_ + 1;
   if (next_ephemeral_port_ < ephemeral_lo_ ||
       next_ephemeral_port_ > ephemeral_hi_) {
-    next_ephemeral_port_ = ephemeral_lo_;
+    next_ephemeral_port_ =
+        static_cast<net::Port>(ephemeral_lo_ + scan_offset_ % range);
   }
-  const int range = ephemeral_hi_ - ephemeral_lo_ + 1;
   for (int attempts = 0; attempts < range; ++attempts) {
     const net::Port p = next_ephemeral_port_++;
     if (next_ephemeral_port_ > ephemeral_hi_) {
@@ -106,6 +180,9 @@ circus::StatusOr<net::NetAddress> UdpFabric::Bind(net::DatagramSocket* socket,
   circus::StatusOr<Binding> binding = OpenAndBind(ip, port);
   if (!binding.ok()) {
     return binding.status();
+  }
+  if (kernel_drops_metric_ == nullptr && metrics() != nullptr) {
+    kernel_drops_metric_ = metrics()->GetCounter("rt.socket.kernel_drops");
   }
   bindings_[socket] = *binding;
   by_address_[binding->local] = socket;
@@ -154,8 +231,9 @@ size_t UdpFabric::TotalReceiveBacklog() const {
 }
 
 void UdpFabric::Transmit(sim::Host* sender, net::Datagram datagram) {
-  CIRCUS_CHECK_MSG(datagram.payload.size() <= kMaxDatagramBytes,
-                   "datagram exceeds network MTU");
+  CIRCUS_CHECK_MSG(
+      datagram.payload.size() <= MaxDatagramBytes(sender->id()),
+      "datagram exceeds network MTU");
   ++stats_.packets_sent;
   stats_.bytes_sent += datagram.payload.size();
   ObserveSend(sender, datagram);
@@ -219,30 +297,45 @@ void UdpFabric::DrainFd(net::DatagramSocket* socket) {
   if (it == bindings_.end()) {
     return;
   }
-  const int fd = it->second.fd;
-  const net::NetAddress local = it->second.local;
-  // Oversized buffer so an over-MTU datagram is detected, not split.
-  unsigned char buf[kMaxDatagramBytes + 1];
+  Binding& binding = it->second;
+  const size_t limit = MaxDatagramBytes(socket->host()->id());
+  RecvBatch& batch = *recv_;
   for (;;) {
-    sockaddr_in sa{};
-    socklen_t sa_len = sizeof(sa);
-    const ssize_t n = recvfrom(fd, buf, sizeof(buf), 0,
-                               reinterpret_cast<sockaddr*>(&sa), &sa_len);
-    if (n < 0) {
+    batch.Reset();
+    const int n = recvmmsg(binding.fd, batch.headers.data(), kRecvBatch,
+                           MSG_DONTWAIT, nullptr);
+    if (n <= 0) {
       // EAGAIN: drained. Anything else: treat like a lost datagram.
       return;
     }
-    if (static_cast<size_t>(n) > kMaxDatagramBytes) {
-      ++stats_.truncated;
-      continue;
+    // The newest datagram carries the socket's latest drop total.
+    if (std::optional<uint32_t> total =
+            KernelDropCount(&batch.headers[n - 1].msg_hdr);
+        total.has_value() && *total != binding.kernel_drops) {
+      const uint32_t fresh = *total - binding.kernel_drops;
+      binding.kernel_drops = *total;
+      stats_.kernel_drops += fresh;
+      if (kernel_drops_metric_ != nullptr) {
+        kernel_drops_metric_->Add(fresh);
+      }
     }
-    ++stats_.packets_delivered;
-    stats_.bytes_delivered += static_cast<uint64_t>(n);
-    net::Datagram d;
-    d.source = FromSockaddr(sa);
-    d.destination = local;
-    d.payload.assign(buf, buf + n);
-    Deliver(socket, std::move(d));
+    for (int i = 0; i < n; ++i) {
+      const mmsghdr& m = batch.headers[i];
+      if (m.msg_len > limit || (m.msg_hdr.msg_flags & MSG_TRUNC) != 0) {
+        ++stats_.truncated;
+        continue;
+      }
+      ++stats_.packets_delivered;
+      stats_.bytes_delivered += m.msg_len;
+      net::Datagram d;
+      d.source = FromSockaddr(batch.names[i]);
+      d.destination = binding.local;
+      d.payload.assign(batch.slot(i), batch.slot(i) + m.msg_len);
+      Deliver(socket, std::move(d));
+    }
+    if (static_cast<unsigned>(n) < kRecvBatch) {
+      return;
+    }
   }
 }
 

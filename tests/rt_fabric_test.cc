@@ -3,6 +3,11 @@
 // the simulated and real fabrics), and the wire-parity golden test — the
 // same paired-message exchange produces byte-identical segments whether
 // it crosses the simulated Network or real UDP.
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <memory>
 #include <string>
@@ -305,6 +310,108 @@ TEST(RtFabricTest, EphemeralPortExhaustionFailsOnBothFabrics) {
     auto extra = DatagramSocket::Open(&runtime.fabric(), host, 0);
     ASSERT_FALSE(extra.ok());
     EXPECT_EQ(extra.status().code(), ErrorCode::kUnavailable);
+  }
+}
+
+// rt processes started together must not walk the same ports, so each
+// fabric's port-0 scan starts at its own offset into the range. The
+// scan still wraps round: every port of the range is allocatable, and
+// only then is a bind refused.
+TEST(RtFabricTest, EphemeralScanFromAnOffsetStillCoversTheWholeRange) {
+  constexpr net::Port kLo = 27231;
+  constexpr net::Port kHi = 27238;
+  Runtime runtime;
+  runtime.fabric().set_ephemeral_port_range(kLo, kHi);
+  runtime.fabric().set_ephemeral_scan_offset(5);
+  sim::Host* host = runtime.AddHost("h");
+  std::vector<std::unique_ptr<DatagramSocket>> sockets;
+  std::vector<net::Port> ports;
+  for (int i = 0; i <= kHi - kLo; ++i) {
+    auto socket = DatagramSocket::Open(&runtime.fabric(), host, 0);
+    ASSERT_TRUE(socket.ok()) << socket.status().ToString();
+    ports.push_back((*socket)->local_address().port);
+    sockets.push_back(std::move(*socket));
+  }
+  EXPECT_EQ(ports.front(), kLo + 5);
+  std::sort(ports.begin(), ports.end());
+  for (int i = 0; i <= kHi - kLo; ++i) {
+    EXPECT_EQ(ports[i], kLo + i);
+  }
+  auto extra = DatagramSocket::Open(&runtime.fabric(), host, 0);
+  ASSERT_FALSE(extra.ok());
+  EXPECT_EQ(extra.status().code(), ErrorCode::kUnavailable);
+}
+
+// Datagrams the kernel drops at a full receive queue are counted per
+// socket (SO_RXQ_OVFL) and surface in the stats and the metrics. The
+// kernel reports the socket's drop total on the datagrams it queues
+// after the drops, so the count shows once traffic resumes.
+TEST(RtFabricTest, KernelReceiveQueueDropsAreCounted) {
+  Runtime runtime;
+  sim::Host* host = runtime.AddHost("h");
+  DatagramSocket socket(&runtime.fabric(), host, 0);
+  const int sender = ::socket(AF_INET, SOCK_DGRAM, 0);
+  ASSERT_GE(sender, 0);
+  sockaddr_in to{};
+  to.sin_family = AF_INET;
+  to.sin_addr.s_addr = htonl(socket.local_address().host);
+  to.sin_port = htons(socket.local_address().port);
+  // The loop does not run while these go out, so the socket's receive
+  // queue overflows.
+  constexpr int kSends = 5000;
+  const char payload[32] = {};
+  const auto send = [&] {
+    sendto(sender, payload, sizeof(payload), 0,
+           reinterpret_cast<sockaddr*>(&to), sizeof(to));
+  };
+  for (int i = 0; i < kSends; ++i) {
+    send();
+  }
+  runtime.RunFor(Duration::Millis(50));
+  const UdpFabricStats& stats = runtime.fabric().stats();
+  EXPECT_GT(stats.packets_delivered, 0u);
+  EXPECT_LT(stats.packets_delivered, static_cast<uint64_t>(kSends));
+  send();
+  runtime.RunFor(Duration::Millis(50));
+  close(sender);
+
+  EXPECT_GT(stats.kernel_drops, 0u);
+  EXPECT_LE(stats.packets_delivered + stats.kernel_drops,
+            static_cast<uint64_t>(kSends) + 1);
+  EXPECT_EQ(runtime.metrics().GetCounter("rt.socket.kernel_drops")->value(),
+            stats.kernel_drops);
+}
+
+// Each fabric states its datagram limit, and the paired-message layer
+// segments to it: the simulated Ethernet keeps the 1985 segment size,
+// loopback carries 32 KiB segments, and an explicit smaller segment
+// size still wins.
+TEST(RtFabricTest, EndpointSegmentsToTheFabricLimit) {
+  msg::EndpointOptions small;
+  small.segment_data_bytes = 512;
+  {
+    net::World world;
+    sim::Host* host = world.AddHost("h");
+    EXPECT_EQ(world.network().MaxDatagramBytes(host->id()), 1500u);
+    DatagramSocket socket(&world.network(), host, 0);
+    const msg::PairedEndpoint by_default(&socket, {});
+    const msg::PairedEndpoint capped(&socket, small);
+    EXPECT_EQ(by_default.options().segment_data_bytes, 1024u);
+    EXPECT_EQ(capped.options().segment_data_bytes, 512u);
+  }
+  {
+    Runtime runtime;
+    sim::Host* loopback = runtime.AddHost("lo");
+    sim::Host* ethernet = runtime.AddHost("eth", 0x0A000001);  // 10.0.0.1
+    EXPECT_EQ(runtime.fabric().MaxDatagramBytes(loopback->id()),
+              kLoopbackDatagramBytes);
+    EXPECT_EQ(runtime.fabric().MaxDatagramBytes(ethernet->id()),
+              kEthernetDatagramBytes);
+    DatagramSocket socket(&runtime.fabric(), loopback, 0);
+    const msg::PairedEndpoint by_default(&socket, {});
+    const msg::PairedEndpoint capped(&socket, small);
+    EXPECT_EQ(by_default.options().segment_data_bytes, 32768u);
+    EXPECT_EQ(capped.options().segment_data_bytes, 512u);
   }
 }
 

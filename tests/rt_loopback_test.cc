@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -26,6 +27,7 @@
 #include "src/obs/merge.h"
 #include "src/obs/shard.h"
 #include "src/obs/trace.h"
+#include "src/obs/wire.h"
 #include "src/rt/fault_control.h"
 #include "src/rt/introspect.h"
 #include "src/rt/node_config.h"
@@ -406,10 +408,10 @@ TEST(RtLoopbackTest, TroupeCommitOverRealUdp) {
 
 // A minimal direct-troupe node (no ringmaster): an echo member, or a
 // client that calls it. Shared by the tracing and introspection tests.
-std::unique_ptr<RpcProcess> MakeEchoProcess(Runtime* runtime,
+std::unique_ptr<RpcProcess> MakeEchoProcess(net::Fabric* fabric,
                                             sim::Host* host,
                                             ModuleNumber* module) {
-  auto process = std::make_unique<RpcProcess>(&runtime->fabric(), host, 0);
+  auto process = std::make_unique<RpcProcess>(fabric, host, 0);
   *module = process->ExportModule("echo");
   process->ExportProcedure(
       *module, 0,
@@ -452,7 +454,7 @@ TEST(RtLoopbackTest, TracedReplicatedCallMergesIntoOneSpanTree) {
   for (int i = 0; i < 3; ++i) {
     sim::Host* host = runtime.AddHost("member" + std::to_string(i));
     hosts.push_back(host);
-    members.push_back(MakeEchoProcess(&runtime, host, &module));
+    members.push_back(MakeEchoProcess(&runtime.fabric(), host, &module));
     members.back()->SetTroupeId(troupe.id);
     troupe.members.push_back(
         members.back()->module_address(module));
@@ -549,7 +551,7 @@ TEST(RtLoopbackTest, SequentialEchoesLeaveNoTimersBehind) {
   sim::Host* member_host = runtime.AddHost("member");
   ModuleNumber module = 0;
   std::unique_ptr<RpcProcess> member =
-      MakeEchoProcess(&runtime, member_host, &module);
+      MakeEchoProcess(&runtime.fabric(), member_host, &module);
   member->SetTroupeId(TroupeId{99});
   Troupe troupe;
   troupe.id = TroupeId{99};
@@ -592,7 +594,7 @@ TEST(RtLoopbackTest, IntrospectionQueriesReportMetricsHealthAndSpans) {
 
   ModuleNumber module = 0;
   std::unique_ptr<RpcProcess> member =
-      MakeEchoProcess(&runtime, member_host, &module);
+      MakeEchoProcess(&runtime.fabric(), member_host, &module);
   member->SetTroupeId(TroupeId{99});
   node_obs.SetProcess(member.get());
 
@@ -616,7 +618,7 @@ TEST(RtLoopbackTest, IntrospectionQueriesReportMetricsHealthAndSpans) {
       << metrics;
   EXPECT_NE(metrics.find("circus_shard_dropped_total 0"), std::string::npos);
   EXPECT_NE(metrics.find("circus_shard_flushes_total"), std::string::npos);
-  EXPECT_LE(metrics.size(), net::Fabric::kMaxDatagramBytes);
+  EXPECT_LE(metrics.size(), kMaxQueryReplyBytes);
 
   const std::string health = node_obs.HandleQuery(" health\n");
   EXPECT_EQ(health.rfind("ok observe-me\n", 0), 0u) << health;
@@ -665,6 +667,11 @@ TEST(RtLoopbackTest, IntrospectionQueriesReportMetricsHealthAndSpans) {
   std::string first_line;
   std::getline(prom, first_line);
   EXPECT_EQ(first_line.rfind("# TYPE circus_", 0), 0u) << first_line;
+  // Every bound socket's kernel receive-queue drops are exported.
+  const std::string rest(std::istreambuf_iterator<char>(prom), {});
+  EXPECT_NE(rest.find("\ncircus_rt_socket_kernel_drops_total 0\n"),
+            std::string::npos)
+      << rest;
 }
 
 // The paged query forms: a spans text too big for one datagram comes
@@ -682,7 +689,7 @@ TEST(RtLoopbackTest, PagedIntrospectionReassemblesOversizeSpansReply) {
 
   ModuleNumber module = 0;
   std::unique_ptr<RpcProcess> member =
-      MakeEchoProcess(&runtime, member_host, &module);
+      MakeEchoProcess(&runtime.fabric(), member_host, &module);
   member->SetTroupeId(TroupeId{99});
   node_obs.SetProcess(member.get());
   Troupe troupe;
@@ -701,7 +708,7 @@ TEST(RtLoopbackTest, PagedIntrospectionReassemblesOversizeSpansReply) {
 
   // The bare form still fits one datagram, by truncation.
   const std::string bare = node_obs.HandleQuery("spans");
-  ASSERT_LE(bare.size(), net::Fabric::kMaxDatagramBytes);
+  ASSERT_LE(bare.size(), kMaxQueryReplyBytes);
   constexpr std::string_view kMark = "...\n";
   ASSERT_TRUE(bare.ends_with(kMark)) << "spans text unexpectedly small";
 
@@ -712,7 +719,7 @@ TEST(RtLoopbackTest, PagedIntrospectionReassemblesOversizeSpansReply) {
   for (int guard = 0; guard < 100 && !saw_end; ++guard) {
     const std::string reply =
         node_obs.HandleQuery("spans " + std::to_string(offset));
-    ASSERT_LE(reply.size(), net::Fabric::kMaxDatagramBytes);
+    ASSERT_LE(reply.size(), kMaxQueryReplyBytes);
     ASSERT_EQ(reply.rfind("chunk ", 0), 0u) << reply;
     const size_t eol = reply.find('\n');
     ASSERT_NE(eol, std::string::npos);
@@ -732,7 +739,7 @@ TEST(RtLoopbackTest, PagedIntrospectionReassemblesOversizeSpansReply) {
   ASSERT_TRUE(saw_end);
   // Genuinely multi-datagram, and the truncated bare reply is a byte
   // prefix of the reassembled whole.
-  EXPECT_GT(assembled.size(), net::Fabric::kMaxDatagramBytes);
+  EXPECT_GT(assembled.size(), kMaxQueryReplyBytes);
   const std::string prefix = bare.substr(0, bare.size() - kMark.size());
   ASSERT_EQ(assembled.compare(0, prefix.size(), prefix), 0);
   EXPECT_NE(assembled.find("call("), std::string::npos);
@@ -746,7 +753,7 @@ TEST(RtLoopbackTest, PagedIntrospectionReassemblesOversizeSpansReply) {
   for (int guard = 0; guard < 100 && !saw_end; ++guard) {
     const std::string reply =
         node_obs.HandleQuery("metrics " + std::to_string(offset));
-    ASSERT_LE(reply.size(), net::Fabric::kMaxDatagramBytes);
+    ASSERT_LE(reply.size(), kMaxQueryReplyBytes);
     ASSERT_EQ(reply.rfind("chunk ", 0), 0u) << reply;
     const size_t eol = reply.find('\n');
     ASSERT_NE(eol, std::string::npos);
@@ -768,7 +775,7 @@ TEST(RtLoopbackTest, PagedIntrospectionReassemblesOversizeSpansReply) {
   EXPECT_NE(metrics_assembled.find("quantile=\"0.99\""), std::string::npos);
   // The truncated bare form is a byte prefix of the reassembled whole.
   const std::string bare_metrics = node_obs.HandleQuery("metrics");
-  ASSERT_LE(bare_metrics.size(), net::Fabric::kMaxDatagramBytes);
+  ASSERT_LE(bare_metrics.size(), kMaxQueryReplyBytes);
   const std::string metrics_prefix =
       bare_metrics.ends_with(kMark)
           ? bare_metrics.substr(0, bare_metrics.size() - kMark.size())
@@ -780,7 +787,7 @@ TEST(RtLoopbackTest, PagedIntrospectionReassemblesOversizeSpansReply) {
   // The latency query serves the attributor's exposition through the
   // same bare/paged machinery.
   const std::string latency = node_obs.HandleQuery("latency");
-  ASSERT_LE(latency.size(), net::Fabric::kMaxDatagramBytes);
+  ASSERT_LE(latency.size(), kMaxQueryReplyBytes);
   EXPECT_EQ(latency.rfind("# TYPE circus_latency_stage_us summary", 0), 0u)
       << latency;
   EXPECT_EQ(node_obs.HandleQuery("latency 0").rfind("chunk 0 ", 0), 0u);
@@ -829,7 +836,7 @@ TEST_P(PagedPastEndTest, OffsetsPastEndOfDataTerminateWithEmptyChunk) {
 
   ModuleNumber module = 0;
   std::unique_ptr<RpcProcess> member =
-      MakeEchoProcess(&runtime, node_host, &module);
+      MakeEchoProcess(&runtime.fabric(), node_host, &module);
   member->SetTroupeId(TroupeId{99});
   node_obs.SetProcess(member.get());
   Troupe troupe;
@@ -896,6 +903,84 @@ TEST_P(PagedPastEndTest, OffsetsPastEndOfDataTerminateWithEmptyChunk) {
 INSTANTIATE_TEST_SUITE_P(Fabrics, PagedPastEndTest, testing::Bool(),
                          [](const testing::TestParamInfo<bool>& param) {
                            return param.param ? "FaultFabric" : "UdpFabric";
+                         });
+
+// ------------------------------------------- messages over the limit ----
+
+// A message larger than one loopback datagram travels as several 32 KiB
+// segments over real sockets: once clean, and once through a fault
+// fabric that drops datagrams, so the retransmit and reassembly paths
+// run on the real runtime. The echo comes back byte-equal and the wire
+// audit of both runs is clean.
+class LargeMessageTest : public testing::TestWithParam<bool> {};
+
+Task<void> EchoLarge(RpcProcess* client, Troupe troupe, ModuleNumber module,
+                     Bytes args, StatusOr<Bytes>* out, bool* done) {
+  *out = co_await client->Call(client->NewRootThread(), troupe, module, 0,
+                               args);
+  *done = true;
+}
+
+TEST_P(LargeMessageTest, EchoesAcrossSeveralFabricSizedSegments) {
+  const bool lossy = GetParam();
+  Runtime runtime;
+  net::FaultFabric fault_fabric(&runtime.fabric(), &runtime.executor(), 11);
+  if (lossy) {
+    net::FaultInjectionPlan plan;
+    plan.drop = 0.2;
+    fault_fabric.set_plan(plan);
+  }
+  net::Fabric* fabric = lossy ? static_cast<net::Fabric*>(&fault_fabric)
+                              : &runtime.fabric();
+
+  sim::Host* member_host = runtime.AddHost("member");
+  ModuleNumber module = 0;
+  std::unique_ptr<RpcProcess> member =
+      MakeEchoProcess(fabric, member_host, &module);
+  member->SetTroupeId(TroupeId{99});
+  Troupe troupe;
+  troupe.id = TroupeId{99};
+  troupe.members.push_back(member->module_address(module));
+  sim::Host* client_host = runtime.AddHost("client");
+  RpcProcess client(fabric, client_host, 0);
+  ASSERT_EQ(client.endpoint().options().segment_data_bytes, 32768u);
+
+  obs::wire::WireAuditor auditor(
+      obs::wire::AuditOptionsFor(client.endpoint().options()));
+  auditor.Attach(&runtime.bus());
+
+  Bytes args(100 * 1024);
+  for (size_t i = 0; i < args.size(); ++i) {
+    args[i] = static_cast<uint8_t>(i * 31 % 251);
+  }
+  StatusOr<Bytes> reply = Status(ErrorCode::kUnavailable, "not run");
+  bool done = false;
+  client_host->Spawn(
+      EchoLarge(&client, troupe, module, args, &reply, &done));
+  ASSERT_TRUE(
+      runtime.RunUntil([&done] { return done; }, Duration::Seconds(60)));
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_TRUE(*reply == args);
+  // 100 KiB plus the call header: four segments each way.
+  EXPECT_EQ(client.endpoint().counters().data_segments_sent -
+                client.endpoint().counters().retransmitted_segments,
+            4u);
+  if (lossy) {
+    EXPECT_GT(fault_fabric.stats().dropped, 0u);
+    EXPECT_GT(client.endpoint().counters().retransmitted_segments +
+                  member->endpoint().counters().retransmitted_segments,
+              0u);
+  }
+
+  const obs::wire::AuditReport report = auditor.Finish();
+  EXPECT_TRUE(report.violations.empty()) << report.Render();
+  EXPECT_GE(report.CompletedCalls(), 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Fabrics, LargeMessageTest, testing::Bool(),
+                         [](const testing::TestParamInfo<bool>& param) {
+                           return param.param ? "LossyFaultFabric"
+                                              : "UdpFabric";
                          });
 
 // -------------------------------------------------- crash and reboot ----
