@@ -14,6 +14,23 @@ using sim::Duration;
 using sim::Syscall;
 using sim::Task;
 
+namespace {
+
+// Decodes a member's return message, taking its buffer, and posts the
+// member's reply.
+void PostReply(const ModuleAddress& member, circus::Bytes data,
+               internal::ReplyStreamState& stream_state) {
+  std::optional<ReturnBody> ret = ReturnBody::Decode(std::move(data));
+  if (!ret.has_value()) {
+    stream_state.channel.Send(Reply{
+        member, Status(ErrorCode::kProtocolError, "bad return message")});
+    return;
+  }
+  stream_state.channel.Send(Reply{member, std::move(*ret).ToStatusOr()});
+}
+
+}  // namespace
+
 RpcProcess::RpcProcess(net::Fabric* fabric, sim::Host* host,
                        net::Port port, RpcOptions options)
     : fabric_(fabric),
@@ -61,6 +78,23 @@ void RpcProcess::PublishCallEvent(obs::EventKind kind, const ThreadId& thread,
     e.payload = *payload;
   }
   bus_->Publish(std::move(e));
+}
+
+void RpcProcess::PublishOutcomeEvent(
+    obs::EventKind kind, const ThreadId& thread, uint32_t thread_seq,
+    uint64_t module, uint64_t procedure,
+    const circus::StatusOr<circus::Bytes>& outcome) {
+  if (bus_ == nullptr || !bus_->active()) {
+    return;
+  }
+  if (outcome.ok()) {
+    PublishCallEvent(kind, thread, thread_seq, module, procedure, &*outcome,
+                     1);
+    return;
+  }
+  const circus::Bytes error =
+      circus::BytesFromString("!" + outcome.status().ToString());
+  PublishCallEvent(kind, thread, thread_seq, module, procedure, &error, 0);
 }
 
 RpcProcess::~RpcProcess() { host_->executor().Cancel(retire_event_); }
@@ -176,7 +210,9 @@ Task<circus::StatusOr<circus::Bytes>> RpcProcess::Call(
   PublishCallEvent(obs::EventKind::kCallIssue, thread, body.thread_seq,
                    module, procedure, &body.arguments,
                    server.members.size());
-  circus::Bytes encoded = body.Encode();
+  // Encoded once; every member's send (and retransmission) reads it.
+  const std::shared_ptr<const circus::Bytes> encoded =
+      std::make_shared<const circus::Bytes>(body.Encode());
 
   // Stub/user-mode bookkeeping cost (the user-time column of Table 4.1
   // grows with the troupe size).
@@ -236,18 +272,15 @@ Task<circus::StatusOr<circus::Bytes>> RpcProcess::Call(
         1e6);
   }
   host_->ChargeSyscallInstant(Syscall::kGetTimeOfDay);
-  // Client-side history: the matching return event (error returns are
-  // recorded with the status text so divergent failures are visible).
-  circus::Bytes outcome =
-      result.ok() ? *result
-                  : circus::BytesFromString("!" + result.status().ToString());
-  PublishCallEvent(obs::EventKind::kCallCollate, thread, body.thread_seq,
-                   module, procedure, &outcome, result.ok() ? 1 : 0);
+  // Client-side history: the matching return event.
+  PublishOutcomeEvent(obs::EventKind::kCallCollate, thread, body.thread_seq,
+                      module, procedure, result);
   co_return result;
 }
 
 Task<void> RpcProcess::CallOneMember(
-    ModuleAddress member, uint32_t msg_call, circus::Bytes encoded,
+    ModuleAddress member, uint32_t msg_call,
+    std::shared_ptr<const circus::Bytes> encoded,
     std::shared_ptr<internal::ReplyStreamState> stream_state) {
   Status sent = co_await endpoint_->SendMessage(
       member.process, msg::MessageType::kCall, msg_call, std::move(encoded));
@@ -261,17 +294,12 @@ Task<void> RpcProcess::CallOneMember(
     stream_state->channel.Send(Reply{member, m.status()});
     co_return;
   }
-  std::optional<ReturnBody> ret = ReturnBody::Decode(m->data);
-  if (!ret.has_value()) {
-    stream_state->channel.Send(Reply{
-        member, Status(ErrorCode::kProtocolError, "bad return message")});
-    co_return;
-  }
-  stream_state->channel.Send(Reply{member, std::move(*ret).ToStatusOr()});
+  PostReply(member, std::move(m->data), *stream_state);
 }
 
 Task<void> RpcProcess::AwaitMulticastReply(
-    ModuleAddress member, uint32_t msg_call, circus::Bytes encoded,
+    ModuleAddress member, uint32_t msg_call,
+    std::shared_ptr<const circus::Bytes> encoded,
     std::shared_ptr<internal::ReplyStreamState> stream_state) {
   // Optimistic phase: the single multicast transmission usually reaches
   // the member and its return message doubles as the acknowledgment.
@@ -295,13 +323,7 @@ Task<void> RpcProcess::AwaitMulticastReply(
     }
     quick = std::move(*m);
   }
-  std::optional<ReturnBody> ret = ReturnBody::Decode(quick->data);
-  if (!ret.has_value()) {
-    stream_state->channel.Send(Reply{
-        member, Status(ErrorCode::kProtocolError, "bad return message")});
-    co_return;
-  }
-  stream_state->channel.Send(Reply{member, std::move(*ret).ToStatusOr()});
+  PostReply(member, std::move(quick->data), *stream_state);
 }
 
 Task<void> RpcProcess::WatchdogTask(
@@ -340,7 +362,7 @@ Task<void> RpcProcess::DispatchLoop() {
   while (true) {
     msg::Message m = co_await endpoint_->NextIncomingCall();
     ++stats_.call_messages_received;
-    std::optional<CallBody> body = CallBody::Decode(m.data);
+    std::optional<CallBody> body = CallBody::Decode(std::move(m.data));
     if (!body.has_value()) {
       CIRCUS_LOG_AT(LogLevel::kDebug, host_->executor().now().nanos())
           << "undecodable call message from " << m.peer.ToString();
@@ -354,11 +376,12 @@ Task<void> RpcProcess::DispatchLoop() {
       PublishCallEvent(obs::EventKind::kStaleBindingReject, body->thread,
                        body->thread_seq, body->module, body->procedure,
                        nullptr, 0);
-      host_->Spawn(SendReturnTo(
-          m.peer, m.call_number,
-          ReturnBody::Error(ErrorCode::kStaleBinding,
-                            "troupe ID mismatch: rebind required")
-              .Encode()));
+      const std::shared_ptr<const circus::Bytes> stale =
+          std::make_shared<const circus::Bytes>(
+              ReturnBody::Error(ErrorCode::kStaleBinding,
+                                "troupe ID mismatch: rebind required")
+                  .Encode());
+      host_->Spawn(SendReturnTo(m.peer, m.call_number, stale));
       continue;
     }
     const InboundKey key{body->client_troupe, body->thread,
@@ -372,13 +395,15 @@ Task<void> RpcProcess::DispatchLoop() {
                        body->thread_seq, body->module, body->procedure,
                        nullptr, m.call_number);
       auto call = std::make_shared<InboundCall>(host_);
-      call->received[m.peer] = {m.call_number, body->arguments};
+      call->received[m.peer] = {m.call_number, std::move(body->arguments)};
       inbound_[key] = call;
+      // Only the body's header travels on: its arguments are in
+      // `received` now.
       host_->Spawn(HandleInbound(key, call, std::move(*body)));
       continue;
     }
     std::shared_ptr<InboundCall> call = it->second;
-    if (call->return_payload.has_value()) {
+    if (call->return_payload != nullptr) {
       // A slow client troupe member's call arrived after execution: the
       // buffered return message makes execution appear instantaneous to
       // it (Section 4.3.4).
@@ -389,24 +414,26 @@ Task<void> RpcProcess::DispatchLoop() {
                          body->thread_seq, body->module, body->procedure,
                          nullptr, 0);
         host_->Spawn(
-            SendReturnTo(m.peer, m.call_number, *call->return_payload));
+            SendReturnTo(m.peer, m.call_number, call->return_payload));
       } else if (options_.redeliver_duplicates_bug) {
         // Planted bug: answer the duplicate again, with the buffered
         // return mangled — call-number reuse the wire auditor must flag.
         circus::Bytes mangled = *call->return_payload;
         mangled.push_back(0x5A);
-        host_->Spawn(SendReturnTo(m.peer, m.call_number, std::move(mangled)));
+        const std::shared_ptr<const circus::Bytes> payload =
+            std::make_shared<const circus::Bytes>(std::move(mangled));
+        host_->Spawn(SendReturnTo(m.peer, m.call_number, payload));
       }
       continue;
     }
-    call->received[m.peer] = {m.call_number, body->arguments};
+    call->received[m.peer] = {m.call_number, std::move(body->arguments)};
     call->arrivals.Send(1);
   }
 }
 
-Task<void> RpcProcess::SendReturnTo(net::NetAddress peer,
-                                    uint32_t msg_call_number,
-                                    circus::Bytes payload) {
+Task<void> RpcProcess::SendReturnTo(
+    net::NetAddress peer, uint32_t msg_call_number,
+    std::shared_ptr<const circus::Bytes> payload) {
   Status s = co_await endpoint_->SendMessage(
       peer, msg::MessageType::kReturn, msg_call_number, std::move(payload));
   if (!s.ok()) {
@@ -451,15 +478,17 @@ Task<void> RpcProcess::HandleInbound(InboundKey key,
   ctx.thread = key.thread;
   ctx.thread_seq = key.thread_seq;
   ctx.client_troupe = key.client_troupe;
-  for (const auto& [peer, entry] : call->received) {
-    ctx.collected_arguments.emplace_back(peer, entry.second);
+  for (auto& [peer, entry] : call->received) {
+    ctx.collected_arguments.emplace_back(peer, std::move(entry.second));
   }
+  // The collated arguments: one of the collected buffers.
+  const circus::Bytes* arguments = &ctx.collected_arguments.front().second;
   circus::Bytes return_payload;
   bool argument_failure = false;
   if (options_.argument_collation == Collation::kUnanimous &&
       options_.argument_unanimity_check) {
     for (const auto& [peer, argbytes] : ctx.collected_arguments) {
-      if (argbytes != ctx.collected_arguments.front().second) {
+      if (argbytes != *arguments) {
         ++stats_.argument_disagreements;
         return_payload =
             ReturnBody::Error(ErrorCode::kDisagreement,
@@ -470,14 +499,13 @@ Task<void> RpcProcess::HandleInbound(InboundKey key,
         break;
       }
     }
-    ctx.arguments = ctx.collected_arguments.front().second;
   } else if (options_.argument_collation == Collation::kMajority) {
     std::map<circus::Bytes, int> votes;
     const int needed = static_cast<int>(expected_count) / 2 + 1;
     bool found = false;
     for (const auto& [peer, argbytes] : ctx.collected_arguments) {
       if (++votes[argbytes] >= needed) {
-        ctx.arguments = argbytes;
+        arguments = &argbytes;
         found = true;
         break;
       }
@@ -489,8 +517,6 @@ Task<void> RpcProcess::HandleInbound(InboundKey key,
                            .Encode();
       argument_failure = true;
     }
-  } else {
-    ctx.arguments = ctx.collected_arguments.front().second;
   }
 
   // 4. Execute the procedure exactly once.
@@ -534,18 +560,13 @@ Task<void> RpcProcess::HandleInbound(InboundKey key,
       // invocation-tree structure of Section 3.3.1.
       PublishCallEvent(obs::EventKind::kExecuteBegin, key.thread,
                        key.thread_seq, first_body.module,
-                       first_body.procedure, &ctx.arguments,
+                       first_body.procedure, arguments,
                        call->received.size());
       circus::StatusOr<circus::Bytes> result =
-          co_await (*handler)(ctx, ctx.arguments);
-      circus::Bytes outcome =
-          result.ok()
-              ? *result
-              : circus::BytesFromString("!" + result.status().ToString());
-      PublishCallEvent(obs::EventKind::kExecuteEnd, key.thread,
-                       key.thread_seq, first_body.module,
-                       first_body.procedure, &outcome,
-                       result.ok() ? 1 : 0);
+          co_await (*handler)(ctx, *arguments);
+      PublishOutcomeEvent(obs::EventKind::kExecuteEnd, key.thread,
+                          key.thread_seq, first_body.module,
+                          first_body.procedure, result);
       if (result.ok()) {
         return_payload =
             ReturnBody::Success(std::move(result).value()).Encode();
@@ -564,10 +585,11 @@ Task<void> RpcProcess::HandleInbound(InboundKey key,
   }
 
   // 5. Send the return message to every client troupe member heard from.
-  call->return_payload = return_payload;
+  call->return_payload =
+      std::make_shared<const circus::Bytes>(std::move(return_payload));
   for (const auto& [peer, entry] : call->received) {
     if (call->replied_to.insert(peer).second) {
-      host_->Spawn(SendReturnTo(peer, entry.first, return_payload));
+      host_->Spawn(SendReturnTo(peer, entry.first, call->return_payload));
     }
   }
 

@@ -54,12 +54,11 @@ struct ServerCallContext {
   uint32_t thread_seq = 0;
   TroupeId client_troupe;
   // The call messages collected for this many-to-one call: one argument
-  // buffer per client troupe member heard from. Handlers that use
-  // explicit replication (Section 7.4) may iterate these; transparent
-  // handlers just take `arguments` below.
+  // buffer per client troupe member heard from, moved here from the
+  // decoded call messages. Handlers that use explicit replication
+  // (Section 7.4) may iterate these; transparent handlers just use their
+  // `args` parameter, a reference to the collated buffer among these.
   std::vector<std::pair<net::NetAddress, circus::Bytes>> collected_arguments;
-  // The collated arguments the handler should use.
-  circus::Bytes arguments;
 
   // Makes a nested replicated call on the same logical thread.
   sim::Task<circus::StatusOr<circus::Bytes>> Call(const Troupe& server,
@@ -232,10 +231,14 @@ class RpcProcess {
   };
   struct InboundCall {
     explicit InboundCall(sim::Host* host) : arrivals(host) {}
-    // peer process -> (paired-message call number, arguments).
+    // peer process -> (paired-message call number, arguments). The
+    // arguments move on to the handler's context once the call runs.
     std::map<net::NetAddress, std::pair<uint32_t, circus::Bytes>> received;
     std::set<net::NetAddress> replied_to;
-    std::optional<circus::Bytes> return_payload;  // encoded ReturnBody
+    // The encoded ReturnBody once the call has run (null before): one
+    // buffer that every member's return message, late ones included,
+    // sends from.
+    std::shared_ptr<const circus::Bytes> return_payload;
     sim::Channel<int> arrivals;
   };
 
@@ -247,13 +250,15 @@ class RpcProcess {
                                 std::shared_ptr<InboundCall> call,
                                 CallBody first_body);
   sim::Task<void> SendReturnTo(net::NetAddress peer, uint32_t msg_call_number,
-                               circus::Bytes payload);
+                               std::shared_ptr<const circus::Bytes> payload);
+  // The encoded call message is shared by every member's send.
   sim::Task<void> CallOneMember(ModuleAddress member, uint32_t msg_call,
-                                circus::Bytes encoded,
+                                std::shared_ptr<const circus::Bytes> encoded,
                                 std::shared_ptr<internal::ReplyStreamState>
                                     stream_state);
   sim::Task<void> AwaitMulticastReply(
-      ModuleAddress member, uint32_t msg_call, circus::Bytes encoded,
+      ModuleAddress member, uint32_t msg_call,
+      std::shared_ptr<const circus::Bytes> encoded,
       std::shared_ptr<internal::ReplyStreamState> stream_state);
   // Consumes the replies a first-come collation left behind and reports
   // agreement or disagreement through `report` (Section 4.3.4).
@@ -274,6 +279,14 @@ class RpcProcess {
                         uint32_t thread_seq, uint64_t module,
                         uint64_t procedure, const circus::Bytes* payload,
                         uint64_t c);
+  // The same for an outcome (kCallCollate, kExecuteEnd): the payload is
+  // the result, or "!" and the status text for an error (so divergent
+  // failures are visible), and `c` is 1 for success. The payload is
+  // built only when somebody subscribed.
+  void PublishOutcomeEvent(obs::EventKind kind, const ThreadId& thread,
+                           uint32_t thread_seq, uint64_t module,
+                           uint64_t procedure,
+                           const circus::StatusOr<circus::Bytes>& outcome);
 
   net::Fabric* fabric_;
   sim::Host* host_;

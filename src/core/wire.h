@@ -38,7 +38,12 @@ struct CallBody {
   ProcedureNumber procedure = 0;
   circus::Bytes arguments;
 
+  bool operator==(const CallBody&) const = default;
+
   circus::Bytes Encode() const;
+  // The rvalue overload takes the trailing arguments by erasing the
+  // header in place, keeping `raw`'s buffer; the other decodes a copy.
+  static std::optional<CallBody> Decode(circus::Bytes&& raw);
   static std::optional<CallBody> Decode(const circus::Bytes& raw);
 };
 
@@ -49,7 +54,12 @@ struct ReturnBody {
   std::string error_message;
   circus::Bytes results;
 
+  bool operator==(const ReturnBody&) const = default;
+
   circus::Bytes Encode() const;
+  // As CallBody::Decode: the rvalue overload keeps `raw`'s buffer as the
+  // results.
+  static std::optional<ReturnBody> Decode(circus::Bytes&& raw);
   static std::optional<ReturnBody> Decode(const circus::Bytes& raw);
 
   static ReturnBody Success(circus::Bytes results) {

@@ -38,6 +38,10 @@ class Writer {
  public:
   Writer() = default;
 
+  // Sizes the buffer for `n` bytes in all, so a writer that knows its
+  // message's length up front allocates once instead of growing.
+  void Reserve(size_t n) { out_.reserve(n); }
+
   void WriteBool(bool v) { WriteU8(v ? 1 : 0); }
   void WriteU8(uint8_t v) { out_.push_back(v); }
   void WriteU16(uint16_t v);   // Courier CARDINAL

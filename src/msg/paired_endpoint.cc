@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <span>
 #include <utility>
 
 #include "src/common/check.h"
@@ -85,6 +86,7 @@ PairedEndpoint::~PairedEndpoint() = default;
 
 sim::Task<void> PairedEndpoint::TransmitSegment(const net::NetAddress& to,
                                                 const Segment& seg,
+                                                const circus::Bytes* message,
                                                 bool retransmission) {
   // Critical region around protocol state (the paper's user-mode
   // implementation masks software interrupts with sigblock).
@@ -107,29 +109,36 @@ sim::Task<void> PairedEndpoint::TransmitSegment(const net::NetAddress& to,
     kind = obs::EventKind::kSegmentRetransmit;
   }
   PublishSegmentEvent(kind, to, seg.call_number, seg.segment_number);
-  co_await socket_->Send(to, seg.Encode());
+  circus::Bytes wire;
+  if (message == nullptr) {
+    wire = seg.Encode();
+  } else {
+    const std::span<const uint8_t> slice = SegmentSlice(
+        *message, seg.segment_number, options_.segment_data_bytes);
+    wire = seg.EncodeWith(slice.data(), slice.size());
+  }
+  co_await socket_->Send(to, std::move(wire));
 }
 
-sim::Task<circus::Status> PairedEndpoint::SendMessage(net::NetAddress to,
-                                                      MessageType type,
-                                                      uint32_t call_number,
-                                                      circus::Bytes data) {
-  std::vector<Segment> segments =
-      Segmentize(type, call_number, data, options_.segment_data_bytes);
+sim::Task<circus::Status> PairedEndpoint::SendMessage(
+    net::NetAddress to, MessageType type, uint32_t call_number,
+    std::shared_ptr<const circus::Bytes> message) {
+  const std::vector<Segment> segments = SegmentHeaders(
+      type, call_number, message->size(), options_.segment_data_bytes);
   const ExchangeKey key{to, type, call_number};
   auto state = std::make_shared<SenderState>();
+  state->message = std::move(message);
   state->progress = std::make_unique<sim::Channel<uint32_t>>(host());
-  for (const Segment& s : segments) {
-    state->unacked.push_back(s);
-  }
+  state->unacked.assign(segments.begin(), segments.end());
   senders_[key] = state;
+  const circus::Bytes* data = state->message.get();
 
   Status result;
   if (options_.mode == EndpointOptions::Mode::kSlidingWindow) {
     // Circus: transmit every segment up front, then retransmit the first
     // unacknowledged one periodically with please-ack set.
     for (const Segment& s : segments) {
-      co_await TransmitSegment(to, s, false);
+      co_await TransmitSegment(to, s, data, false);
     }
     int retries = 0;
     while (!state->unacked.empty()) {
@@ -154,7 +163,7 @@ sim::Task<circus::Status> PairedEndpoint::SendMessage(net::NetAddress to,
       }
       Segment again = state->unacked.front();
       again.please_ack = true;
-      co_await TransmitSegment(to, again, true);
+      co_await TransmitSegment(to, again, data, true);
     }
   } else {
     // Xerox PARC RPC: explicit acknowledgment of every segment but the
@@ -165,7 +174,7 @@ sim::Task<circus::Status> PairedEndpoint::SendMessage(net::NetAddress to,
       if (!last) {
         s.please_ack = true;
       }
-      co_await TransmitSegment(to, s, false);
+      co_await TransmitSegment(to, s, data, false);
       int attempts = 0;
       while (!state->unacked.empty() &&
              state->unacked.front().segment_number <= s.segment_number) {
@@ -190,7 +199,7 @@ sim::Task<circus::Status> PairedEndpoint::SendMessage(net::NetAddress to,
         }
         Segment again = state->unacked.front();
         again.please_ack = true;
-        co_await TransmitSegment(to, again, true);
+        co_await TransmitSegment(to, again, data, true);
       }
     }
   }
@@ -198,14 +207,13 @@ sim::Task<circus::Status> PairedEndpoint::SendMessage(net::NetAddress to,
   co_return result;
 }
 
-sim::Task<void> PairedEndpoint::BlastMulticast(net::NetAddress group,
-                                               MessageType type,
-                                               uint32_t call_number,
-                                               circus::Bytes data) {
-  std::vector<Segment> segments =
-      Segmentize(type, call_number, data, options_.segment_data_bytes);
+sim::Task<void> PairedEndpoint::BlastMulticast(
+    net::NetAddress group, MessageType type, uint32_t call_number,
+    std::shared_ptr<const circus::Bytes> message) {
+  const std::vector<Segment> segments = SegmentHeaders(
+      type, call_number, message->size(), options_.segment_data_bytes);
   for (const Segment& s : segments) {
-    co_await TransmitSegment(group, s, false);
+    co_await TransmitSegment(group, s, message.get(), false);
   }
 }
 
@@ -266,7 +274,7 @@ sim::Task<circus::StatusOr<Message>> PairedEndpoint::AwaitReturn(
     probe.please_ack = true;
     probe.segment_number = 0;
     probe.total_segments = 1;
-    co_await TransmitSegment(peer, probe, false);
+    co_await TransmitSegment(peer, probe, nullptr, false);
   }
 }
 
@@ -297,7 +305,7 @@ sim::Task<void> PairedEndpoint::ReceiverLoop() {
     host()->ChargeSyscallInstant(Syscall::kSelect);
     host()->ChargeSyscallInstant(Syscall::kSigBlock);
     co_await host()->DoSyscall(Syscall::kRecvMsg);
-    std::optional<Segment> seg = Segment::Decode(d.payload);
+    std::optional<Segment> seg = Segment::Decode(std::move(d.payload));
     if (!seg.has_value()) {
       CIRCUS_LOG_AT(LogLevel::kDebug, host()->executor().now().nanos())
           << "malformed segment from " << d.source.ToString();

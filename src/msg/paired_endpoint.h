@@ -106,17 +106,27 @@ class PairedEndpoint {
   const EndpointOptions& options() const { return options_; }
 
   // Sends one message reliably to `to`. Returns kCrashDetected if the
-  // receiver never acknowledges despite repeated retransmission.
+  // receiver never acknowledges despite repeated retransmission. The
+  // message is shared read-only, not copied: a caller sending the same
+  // bytes to several peers passes one buffer to every send, and each
+  // (re)transmission encodes its segment's slice straight from it.
+  sim::Task<circus::Status> SendMessage(
+      net::NetAddress to, MessageType type, uint32_t call_number,
+      std::shared_ptr<const circus::Bytes> message);
   sim::Task<circus::Status> SendMessage(net::NetAddress to, MessageType type,
                                         uint32_t call_number,
-                                        circus::Bytes data);
+                                        circus::Bytes data) {
+    return SendMessage(to, type, call_number,
+                       std::make_shared<const circus::Bytes>(std::move(data)));
+  }
 
   // Transmits the segments of a message once to a multicast group, with
   // no per-member reliability: the caller (the replicated call layer)
   // treats each member's return message as the acknowledgment and falls
   // back to reliable unicast for silent members (Section 4.3.7).
   sim::Task<void> BlastMulticast(net::NetAddress group, MessageType type,
-                                 uint32_t call_number, circus::Bytes data);
+                                 uint32_t call_number,
+                                 std::shared_ptr<const circus::Bytes> message);
 
   // Next fully assembled incoming call message (servers consume these).
   sim::Task<Message> NextIncomingCall();
@@ -169,7 +179,9 @@ class PairedEndpoint {
   };
 
   struct SenderState {
-    // Segments not yet acknowledged, in order.
+    // The whole message; every transmission slices its segment from here.
+    std::shared_ptr<const circus::Bytes> message;
+    // Headers (no data) of the segments not yet acknowledged, in order.
     std::deque<Segment> unacked;
     // Signals ack progress; value is the new acknowledgment number
     // (UINT32_MAX for an implicit full ack).
@@ -196,8 +208,12 @@ class PairedEndpoint {
                       uint32_t call_number, circus::Bytes data);
   void RememberCompleted(const ExchangeKey& key, uint8_t total_segments);
   sim::Channel<Message>& ReturnSlot(const ExchangeKey& key);
+  // Sends `seg`: a control segment as it is, a data segment header with
+  // its slice of `message`.
   sim::Task<void> TransmitSegment(const net::NetAddress& to,
-                                  const Segment& seg, bool retransmission);
+                                  const Segment& seg,
+                                  const circus::Bytes* message,
+                                  bool retransmission);
   // A timer interval with this endpoint's jitter applied.
   sim::Duration Jittered(sim::Duration base);
   // Publishes a segment-level event to the World's bus (no-op when

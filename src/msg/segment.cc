@@ -1,5 +1,8 @@
 #include "src/msg/segment.h"
 
+#include <algorithm>
+#include <utility>
+
 #include "src/common/check.h"
 
 namespace circus::msg {
@@ -10,8 +13,12 @@ constexpr uint8_t kAckBit = 0x02;
 }  // namespace
 
 circus::Bytes Segment::Encode() const {
+  return EncodeWith(data.data(), data.size());
+}
+
+circus::Bytes Segment::EncodeWith(const uint8_t* slice, size_t n) const {
   circus::Bytes out;
-  out.reserve(kSegmentHeaderBytes + data.size());
+  out.reserve(kSegmentHeaderBytes + n);
   out.push_back(static_cast<uint8_t>(type));
   uint8_t control = 0;
   if (please_ack) {
@@ -27,14 +34,14 @@ circus::Bytes Segment::Encode() const {
   out.push_back(static_cast<uint8_t>(call_number >> 16));
   out.push_back(static_cast<uint8_t>(call_number >> 8));
   out.push_back(static_cast<uint8_t>(call_number));
-  out.insert(out.end(), data.begin(), data.end());
+  out.insert(out.end(), slice, slice + n);
   SegmentStats& stats = GlobalSegmentStats();
   ++stats.segments;
   stats.bytes += out.size();
   return out;
 }
 
-std::optional<Segment> Segment::Decode(const circus::Bytes& raw) {
+std::optional<Segment> Segment::Decode(circus::Bytes&& raw) {
   if (raw.size() < kSegmentHeaderBytes) {
     return std::nullopt;
   }
@@ -53,31 +60,50 @@ std::optional<Segment> Segment::Decode(const circus::Bytes& raw) {
   if (s.total_segments == 0) {
     return std::nullopt;
   }
-  s.data.assign(raw.begin() + kSegmentHeaderBytes, raw.end());
+  raw.erase(raw.begin(), raw.begin() + kSegmentHeaderBytes);
+  s.data = std::move(raw);
   return s;
+}
+
+std::optional<Segment> Segment::Decode(const circus::Bytes& raw) {
+  return Decode(circus::Bytes(raw));
+}
+
+std::vector<Segment> SegmentHeaders(MessageType type, uint32_t call_number,
+                                    size_t size, size_t segment_data_bytes) {
+  CIRCUS_CHECK(segment_data_bytes > 0);
+  const size_t count =
+      size == 0 ? 1 : (size + segment_data_bytes - 1) / segment_data_bytes;
+  CIRCUS_CHECK_MSG(count <= kMaxSegmentsPerMessage,
+                   "message too large for 255 segments");
+  std::vector<Segment> out(count);
+  for (size_t i = 0; i < count; ++i) {
+    out[i].type = type;
+    out[i].call_number = call_number;
+    out[i].total_segments = static_cast<uint8_t>(count);
+    out[i].segment_number = static_cast<uint8_t>(i + 1);
+  }
+  return out;
+}
+
+std::span<const uint8_t> SegmentSlice(const circus::Bytes& message,
+                                      uint8_t segment_number,
+                                      size_t segment_data_bytes) {
+  const size_t begin = std::min(
+      (segment_number - 1) * segment_data_bytes, message.size());
+  const size_t end = std::min(begin + segment_data_bytes, message.size());
+  return std::span<const uint8_t>(message).subspan(begin, end - begin);
 }
 
 std::vector<Segment> Segmentize(MessageType type, uint32_t call_number,
                                 const circus::Bytes& data,
                                 size_t segment_data_bytes) {
-  CIRCUS_CHECK(segment_data_bytes > 0);
-  const size_t count =
-      data.empty() ? 1 : (data.size() + segment_data_bytes - 1) /
-                             segment_data_bytes;
-  CIRCUS_CHECK_MSG(count <= kMaxSegmentsPerMessage,
-                   "message too large for 255 segments");
-  std::vector<Segment> out;
-  out.reserve(count);
-  for (size_t i = 0; i < count; ++i) {
-    Segment s;
-    s.type = type;
-    s.call_number = call_number;
-    s.total_segments = static_cast<uint8_t>(count);
-    s.segment_number = static_cast<uint8_t>(i + 1);
-    const size_t begin = i * segment_data_bytes;
-    const size_t end = std::min(begin + segment_data_bytes, data.size());
-    s.data.assign(data.begin() + begin, data.begin() + end);
-    out.push_back(std::move(s));
+  std::vector<Segment> out =
+      SegmentHeaders(type, call_number, data.size(), segment_data_bytes);
+  for (Segment& s : out) {
+    const std::span<const uint8_t> slice =
+        SegmentSlice(data, s.segment_number, segment_data_bytes);
+    s.data.assign(slice.begin(), slice.end());
   }
   return out;
 }

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "src/common/bytes.h"
@@ -61,12 +62,33 @@ struct Segment {
   bool is_data() const { return !ack && segment_number >= 1; }
   bool is_probe() const { return !ack && segment_number == 0; }
 
+  bool operator==(const Segment&) const = default;
+
+  // The wire form: this header followed by `data`.
   circus::Bytes Encode() const;
+  // The wire form of this header followed by `n` bytes at `slice`
+  // instead of the segment's own data: a sender encodes each slice of a
+  // message straight from the one buffer holding the whole message.
+  circus::Bytes EncodeWith(const uint8_t* slice, size_t n) const;
+  // Parses a datagram. The rvalue overload strips the header in place and
+  // keeps the datagram's buffer as `data`; the other decodes a copy.
+  static std::optional<Segment> Decode(circus::Bytes&& raw);
   static std::optional<Segment> Decode(const circus::Bytes& raw);
 };
 
-// Splits message data into data segments of at most `segment_data_bytes`
-// each. CHECK-fails if the message would need more than 255 segments.
+// The data segments of a `size`-byte message, headers only (`data`
+// empty): numbered 1..total, at most `segment_data_bytes` each, and at
+// least one, so a zero-length message is representable. CHECK-fails if
+// the message would need more than 255 segments.
+std::vector<Segment> SegmentHeaders(MessageType type, uint32_t call_number,
+                                    size_t size, size_t segment_data_bytes);
+
+// The bytes of `message` that data segment `segment_number` carries.
+std::span<const uint8_t> SegmentSlice(const circus::Bytes& message,
+                                      uint8_t segment_number,
+                                      size_t segment_data_bytes);
+
+// SegmentHeaders with each segment's slice copied into its `data`.
 std::vector<Segment> Segmentize(MessageType type, uint32_t call_number,
                                 const circus::Bytes& data,
                                 size_t segment_data_bytes);

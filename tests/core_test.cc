@@ -2,13 +2,17 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/collator.h"
 #include "src/core/process.h"
 #include "src/core/types.h"
+#include "src/core/wire.h"
 #include "src/marshal/marshal.h"
+#include "src/msg/segment.h"
 #include "src/net/world.h"
 #include "tests/test_util.h"
 
@@ -941,6 +945,135 @@ TEST_F(CoreTest, CallStatisticsAreTracked) {
   EXPECT_EQ(client->stats().calls_made, 1u);
   EXPECT_EQ(setup->processes[0]->stats().calls_executed, 1u);
 }
+
+// --------------------------------------------- move vs copy decoding ----
+
+// The three wire decoders each have an overload that takes the buffer
+// (and keeps it as the payload) and one that reads a const buffer. Both
+// must accept and reject the same inputs and produce equal values.
+enum class Codec { kSegment, kCallBody, kReturnBody };
+
+struct DecodeCase {
+  std::string name;
+  Codec codec;
+  Bytes raw;
+  bool decodes;
+};
+
+Bytes SegmentWire(uint8_t type, uint8_t total, const std::string& data) {
+  msg::Segment s;
+  s.type = static_cast<msg::MessageType>(type & 1);
+  s.please_ack = true;
+  s.total_segments = total == 0 ? 1 : total;
+  s.segment_number = 1;
+  s.call_number = 0x01020304;
+  s.data = BytesFromString(data);
+  Bytes raw = s.Encode();
+  raw[0] = type;
+  raw[2] = total;
+  return raw;
+}
+
+Bytes CallWire(const std::string& arguments) {
+  CallBody b;
+  b.thread = ThreadId{7, 8, 9};
+  b.thread_seq = 10;
+  b.client_troupe = TroupeId{11};
+  b.server_troupe = TroupeId{12};
+  b.module = 13;
+  b.procedure = 14;
+  b.arguments = BytesFromString(arguments);
+  return b.Encode();
+}
+
+Bytes ReturnWire(const std::string& results) {
+  return ReturnBody::Success(BytesFromString(results)).Encode();
+}
+
+// `raw` with the 32-bit big-endian length field at `offset` set to `n`.
+Bytes WithLength(Bytes raw, size_t offset, uint32_t n) {
+  raw[offset] = static_cast<uint8_t>(n >> 24);
+  raw[offset + 1] = static_cast<uint8_t>(n >> 16);
+  raw[offset + 2] = static_cast<uint8_t>(n >> 8);
+  raw[offset + 3] = static_cast<uint8_t>(n);
+  return raw;
+}
+
+Bytes Appended(Bytes raw, uint8_t extra) {
+  raw.push_back(extra);
+  return raw;
+}
+
+Bytes Prefix(const Bytes& raw, size_t n) {
+  return Bytes(raw.begin(), raw.begin() + n);
+}
+
+std::vector<DecodeCase> DecodeCases() {
+  // CallBody's arguments length prefix sits at byte 32, ReturnBody's
+  // results length prefix at byte 2.
+  const Bytes call = CallWire("args");
+  const Bytes ret = ReturnWire("results");
+  const Bytes error =
+      ReturnBody::Error(ErrorCode::kDisagreement, "members differ").Encode();
+  return {
+      {"SegmentRoundTrip", Codec::kSegment, SegmentWire(1, 3, "data"), true},
+      {"SegmentEmptyPayload", Codec::kSegment, SegmentWire(0, 1, ""), true},
+      {"SegmentShortHeader", Codec::kSegment,
+       Prefix(SegmentWire(0, 1, ""), 7), false},
+      {"SegmentZeroTotal", Codec::kSegment, SegmentWire(0, 0, "x"), false},
+      {"SegmentUnknownType", Codec::kSegment, SegmentWire(2, 1, "x"), false},
+      {"CallRoundTrip", Codec::kCallBody, call, true},
+      {"CallEmptyPayload", Codec::kCallBody, CallWire(""), true},
+      {"CallShortHeader", Codec::kCallBody, Prefix(call, 20), false},
+      {"CallLengthShort", Codec::kCallBody, WithLength(call, 32, 3), false},
+      {"CallLengthLong", Codec::kCallBody, WithLength(call, 32, 5), false},
+      {"CallTrailingBytes", Codec::kCallBody, Appended(call, 0), false},
+      {"ReturnRoundTrip", Codec::kReturnBody, ret, true},
+      {"ReturnEmptyPayload", Codec::kReturnBody, ReturnWire(""), true},
+      {"ReturnError", Codec::kReturnBody, error, true},
+      {"ReturnErrorTrailingBytes", Codec::kReturnBody, Appended(error, 0),
+       false},
+      {"ReturnShortHeader", Codec::kReturnBody, Prefix(ret, 1), false},
+      {"ReturnLengthShort", Codec::kReturnBody, WithLength(ret, 2, 6), false},
+      {"ReturnLengthLong", Codec::kReturnBody, WithLength(ret, 2, 8), false},
+      {"ReturnTrailingBytes", Codec::kReturnBody, Appended(ret, 0), false},
+  };
+}
+
+template <typename T>
+void ExpectMoveDecodeEqualsCopyDecode(const DecodeCase& c) {
+  const std::optional<T> copied = T::Decode(c.raw);
+  Bytes owned = c.raw;
+  const std::optional<T> moved = T::Decode(std::move(owned));
+  EXPECT_EQ(copied.has_value(), c.decodes);
+  EXPECT_EQ(moved.has_value(), c.decodes);
+  EXPECT_TRUE(copied == moved);
+  if (moved.has_value()) {
+    EXPECT_EQ(moved->Encode(), c.raw);  // a round trip
+  }
+}
+
+class DecodeParityTest : public ::testing::TestWithParam<DecodeCase> {};
+
+TEST_P(DecodeParityTest, MoveDecoderEqualsCopyDecoder) {
+  switch (GetParam().codec) {
+    case Codec::kSegment:
+      ExpectMoveDecodeEqualsCopyDecode<msg::Segment>(GetParam());
+      break;
+    case Codec::kCallBody:
+      ExpectMoveDecodeEqualsCopyDecode<CallBody>(GetParam());
+      break;
+    case Codec::kReturnBody:
+      ExpectMoveDecodeEqualsCopyDecode<ReturnBody>(GetParam());
+      break;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Wire, DecodeParityTest, ::testing::ValuesIn(DecodeCases()),
+    [](const ::testing::TestParamInfo<DecodeCase>& param) {
+      return param.param.name;
+    });
 
 }  // namespace
 }  // namespace circus::core

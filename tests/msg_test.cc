@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -420,8 +422,10 @@ TEST_F(MsgTest, BlastMulticastDeliversToGroup) {
   }
   world_.executor().Spawn([](PairedEndpoint* ep,
                              net::HostAddress g) -> Task<void> {
+    const std::shared_ptr<const Bytes> message =
+        std::make_shared<const Bytes>(BytesFromString("to all"));
     co_await ep->BlastMulticast(NetAddress{g, 9000}, MessageType::kCall, 1,
-                                BytesFromString("to all"));
+                                message);
   }(client.get(), group));
   world_.RunFor(Duration::Seconds(1));
   EXPECT_EQ(received, 2);
@@ -701,6 +705,100 @@ TEST_F(MsgTest, InterleavedCallsOnOnePairBothComplete) {
   EXPECT_EQ(first, payload_one);
   EXPECT_EQ(second, payload_two);
 }
+
+// ------------------------------------------- retransmission bytes ----
+
+// A sender keeps only segment headers and re-slices the message for every
+// transmission; a retransmitted datagram must still be byte for byte the
+// segment's first transmission, the please-ack bit aside.
+class RetransmitBytesTest
+    : public MsgTest,
+      public ::testing::WithParamInterface<EndpointOptions::Mode> {};
+
+TEST_P(RetransmitBytesTest, RetransmissionRepeatsTheFirstTransmission) {
+  EndpointOptions opts;
+  opts.mode = GetParam();
+  opts.segment_data_bytes = 16;
+  auto client = MakeClient(opts);
+  auto server = MakeServer(opts);
+  SpawnEchoServer(server.get());
+
+  // Every call data segment the client puts on the wire, in send order.
+  // The first transmission of segment 2 is lost: the network sees the
+  // send, and the subscriber (which runs before the delivery decision)
+  // makes the client-to-server path lossy for that one datagram.
+  std::vector<Segment> sent;
+  std::vector<Bytes> sent_wire;
+  bool dropped = false;
+  net::Network* network = &world_.network();
+  const sim::Host::HostId from = client_host_->id();
+  const sim::Host::HostId to = server_host_->id();
+  world_.bus().Subscribe([&](const obs::Event& e) {
+    if (e.kind != obs::EventKind::kPacketSend) {
+      return;
+    }
+    network->ClearPairFaultPlans();
+    std::optional<Segment> seg = Segment::Decode(e.payload);
+    if (!seg.has_value() || seg->type != MessageType::kCall ||
+        !seg->is_data()) {
+      return;
+    }
+    if (seg->segment_number == 2 && !dropped) {
+      dropped = true;
+      network->SetPairFaultPlan(from, to, FaultPlan::Lossy(1.0));
+    }
+    sent.push_back(*std::move(seg));
+    sent_wire.push_back(e.payload);
+  });
+
+  Bytes message(40);
+  for (size_t i = 0; i < message.size(); ++i) {
+    message[i] = static_cast<uint8_t>(i);
+  }
+  Bytes echoed;
+  world_.executor().Spawn([](PairedEndpoint* ep, NetAddress peer,
+                             Bytes data, Bytes* out) -> Task<void> {
+    Status s =
+        co_await ep->SendMessage(peer, MessageType::kCall, 1, std::move(data));
+    CIRCUS_CHECK(s.ok());
+    auto m = co_await ep->AwaitReturn(peer, 1);
+    CIRCUS_CHECK(m.ok());
+    *out = std::move(m->data);
+  }(client.get(), server->local_address(), message, &echoed));
+  world_.RunFor(Duration::Seconds(10));
+
+  EXPECT_TRUE(dropped);
+  EXPECT_EQ(echoed, message);
+  EXPECT_GE(client->counters().retransmitted_segments, 1u);
+  std::map<uint8_t, size_t> first;  // segment number -> index in `sent`
+  int repeats = 0;
+  for (size_t i = 0; i < sent.size(); ++i) {
+    EXPECT_EQ(sent[i].total_segments, 3);
+    auto [it, is_first] = first.emplace(sent[i].segment_number, i);
+    if (is_first) {
+      continue;
+    }
+    ++repeats;
+    Bytes original = sent_wire[it->second];
+    Bytes again = sent_wire[i];
+    EXPECT_TRUE(again[1] & 0x01) << "a retransmission requests an ack";
+    original[1] &= ~0x01;
+    again[1] &= ~0x01;
+    EXPECT_EQ(again, original) << "segment " << int{sent[i].segment_number};
+  }
+  EXPECT_EQ(first.size(), 3u);
+  EXPECT_GE(repeats, 1);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Modes, RetransmitBytesTest,
+    ::testing::Values(EndpointOptions::Mode::kSlidingWindow,
+                      EndpointOptions::Mode::kStopAndWait),
+    [](const ::testing::TestParamInfo<EndpointOptions::Mode>& param) {
+      return param.param == EndpointOptions::Mode::kSlidingWindow
+                 ? std::string("SlidingWindow")
+                 : std::string("StopAndWait");
+    });
 
 }  // namespace
 }  // namespace circus::msg
