@@ -35,8 +35,7 @@ PairedEndpoint::PairedEndpoint(net::DatagramSocket* socket,
       options_(options),
       jitter_rng_(options.jitter_seed != 0 ? options.jitter_seed
                                            : DeriveJitterSeed(socket)),
-      incoming_calls_(
-          std::make_unique<sim::Channel<Message>>(socket->host())) {
+      incoming_calls_(socket->host()) {
   if (net::Fabric* fabric = socket->fabric(); fabric != nullptr) {
     const size_t limit = fabric->MaxDatagramBytes(host()->id());
     options_.segment_data_bytes =
@@ -123,15 +122,14 @@ sim::Task<void> PairedEndpoint::TransmitSegment(const net::NetAddress& to,
 sim::Task<circus::Status> PairedEndpoint::SendMessage(
     net::NetAddress to, MessageType type, uint32_t call_number,
     std::shared_ptr<const circus::Bytes> message) {
-  const std::vector<Segment> segments = SegmentHeaders(
-      type, call_number, message->size(), options_.segment_data_bytes);
   const ExchangeKey key{to, type, call_number};
-  auto state = std::make_shared<SenderState>();
-  state->message = std::move(message);
-  state->progress = std::make_unique<sim::Channel<uint32_t>>(host());
-  state->unacked.assign(segments.begin(), segments.end());
+  const size_t size = message->size();
+  auto state = std::make_shared<SenderState>(
+      host(), std::move(message),
+      SegmentHeaders(type, call_number, size, options_.segment_data_bytes));
   senders_[key] = state;
   const circus::Bytes* data = state->message.get();
+  const std::vector<Segment>& segments = state->segments;
 
   Status result;
   if (options_.mode == EndpointOptions::Mode::kSlidingWindow) {
@@ -141,11 +139,11 @@ sim::Task<circus::Status> PairedEndpoint::SendMessage(
       co_await TransmitSegment(to, s, data, false);
     }
     int retries = 0;
-    while (!state->unacked.empty()) {
+    while (!state->all_acked()) {
       host()->ChargeSyscallInstant(Syscall::kSetITimer);
       host()->ChargeSyscallInstant(Syscall::kGetTimeOfDay);
       std::optional<uint32_t> progress =
-          co_await state->progress->ReceiveWithTimeout(
+          co_await state->progress.ReceiveWithTimeout(
               Jittered(options_.retransmit_interval));
       if (progress.has_value()) {
         retries = 0;
@@ -161,7 +159,7 @@ sim::Task<circus::Status> PairedEndpoint::SendMessage(
                             call_number, 0);
         break;
       }
-      Segment again = state->unacked.front();
+      Segment again = state->first_unacked_segment();
       again.please_ack = true;
       co_await TransmitSegment(to, again, data, true);
     }
@@ -176,12 +174,13 @@ sim::Task<circus::Status> PairedEndpoint::SendMessage(
       }
       co_await TransmitSegment(to, s, data, false);
       int attempts = 0;
-      while (!state->unacked.empty() &&
-             state->unacked.front().segment_number <= s.segment_number) {
+      while (!state->all_acked() &&
+             state->first_unacked_segment().segment_number <=
+                 s.segment_number) {
         host()->ChargeSyscallInstant(Syscall::kSetITimer);
         host()->ChargeSyscallInstant(Syscall::kGetTimeOfDay);
         std::optional<uint32_t> progress =
-            co_await state->progress->ReceiveWithTimeout(
+            co_await state->progress.ReceiveWithTimeout(
                 Jittered(options_.retransmit_interval));
         if (progress.has_value()) {
           attempts = 0;
@@ -197,7 +196,7 @@ sim::Task<circus::Status> PairedEndpoint::SendMessage(
                               call_number, 0);
           break;
         }
-        Segment again = state->unacked.front();
+        Segment again = state->first_unacked_segment();
         again.please_ack = true;
         co_await TransmitSegment(to, again, data, true);
       }
@@ -220,17 +219,11 @@ sim::Task<void> PairedEndpoint::BlastMulticast(
 // ------------------------------------------------------------- Receiving
 
 sim::Task<Message> PairedEndpoint::NextIncomingCall() {
-  co_return co_await ReceiveValue(*incoming_calls_);
+  co_return co_await ReceiveValue(incoming_calls_);
 }
 
 sim::Channel<Message>& PairedEndpoint::ReturnSlot(const ExchangeKey& key) {
-  auto it = return_slots_.find(key);
-  if (it == return_slots_.end()) {
-    it = return_slots_
-             .emplace(key, std::make_unique<sim::Channel<Message>>(host()))
-             .first;
-  }
-  return *it->second;
+  return return_slots_.try_emplace(key, host()).first->second;
 }
 
 sim::Task<circus::StatusOr<Message>> PairedEndpoint::AwaitReturn(
@@ -336,11 +329,11 @@ void PairedEndpoint::HandleAck(const net::NetAddress& from,
   }
   SenderState& state = *it->second;
   const uint8_t ack_number = seg.segment_number;
-  while (!state.unacked.empty() &&
-         state.unacked.front().segment_number <= ack_number) {
-    state.unacked.pop_front();
+  while (!state.all_acked() &&
+         state.first_unacked_segment().segment_number <= ack_number) {
+    ++state.first_unacked;
   }
-  state.progress->Send(ack_number);
+  state.progress.Send(ack_number);
 }
 
 void PairedEndpoint::HandleProbe(const net::NetAddress& from,
@@ -370,8 +363,8 @@ void PairedEndpoint::ApplyImplicitAcks(const net::NetAddress& from,
   auto full_ack = [this](std::map<ExchangeKey,
                                   std::shared_ptr<SenderState>>::iterator
                              it) {
-    it->second->unacked.clear();
-    it->second->progress->Send(UINT32_MAX);
+    it->second->first_unacked = it->second->segments.size();
+    it->second->progress.Send(UINT32_MAX);
   };
   if (seg.type == MessageType::kReturn) {
     // A return segment implicitly acknowledges the call with the same
@@ -494,9 +487,23 @@ void PairedEndpoint::DeliverMessage(const net::NetAddress& from,
                       data.size());
   Message m{from, type, call_number, std::move(data)};
   if (type == MessageType::kCall) {
-    incoming_calls_->Send(std::move(m));
+    incoming_calls_.Send(std::move(m));
+    return;
+  }
+  // Someone awaits this return only if its slot exists (AwaitReturn and
+  // TryAwaitReturn make it before suspending) or its call's send is still
+  // running (the return's implicit ack arrived before SendMessage
+  // resumed). Otherwise the caller gave up and the slot would be parked
+  // forever.
+  const ExchangeKey key{from, type, call_number};
+  auto slot = return_slots_.find(key);
+  if (slot != return_slots_.end()) {
+    slot->second.Send(std::move(m));
+  } else if (senders_.contains(
+                 ExchangeKey{from, MessageType::kCall, call_number})) {
+    ReturnSlot(key).Send(std::move(m));
   } else {
-    ReturnSlot(ExchangeKey{from, type, call_number}).Send(std::move(m));
+    ++counters_.late_returns_dropped;
   }
 }
 

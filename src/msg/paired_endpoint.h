@@ -158,8 +158,15 @@ class PairedEndpoint {
     uint64_t retransmitted_segments = 0;
     uint64_t duplicate_messages_suppressed = 0;
     uint64_t messages_delivered = 0;
+    // Returns delivered after their caller gave up (its send failed, or
+    // its wait ended or was discarded): nobody will await them, so they
+    // are dropped instead of parked in a slot forever.
+    uint64_t late_returns_dropped = 0;
   };
   const Counters& counters() const { return counters_; }
+
+  // Return slots currently held (awaited, or filled and not yet taken).
+  size_t return_slot_count() const { return return_slots_.size(); }
 
   // Last time any segment arrived from each peer (the probe machinery's
   // own liveness bookkeeping). A peer silent for longer than
@@ -179,13 +186,25 @@ class PairedEndpoint {
   };
 
   struct SenderState {
+    SenderState(sim::Host* host, std::shared_ptr<const circus::Bytes> m,
+                std::vector<Segment> headers)
+        : message(std::move(m)), segments(std::move(headers)),
+          progress(host) {}
+
+    bool all_acked() const { return first_unacked == segments.size(); }
+    const Segment& first_unacked_segment() const {
+      return segments[first_unacked];
+    }
+
     // The whole message; every transmission slices its segment from here.
     std::shared_ptr<const circus::Bytes> message;
-    // Headers (no data) of the segments not yet acknowledged, in order.
-    std::deque<Segment> unacked;
+    // Headers (no data) of the message's segments, in order; those from
+    // `first_unacked` on are not yet acknowledged.
+    std::vector<Segment> segments;
+    size_t first_unacked = 0;
     // Signals ack progress; value is the new acknowledgment number
     // (UINT32_MAX for an implicit full ack).
-    std::unique_ptr<sim::Channel<uint32_t>> progress;
+    sim::Channel<uint32_t> progress;
   };
 
   struct Reassembly {
@@ -238,9 +257,8 @@ class PairedEndpoint {
   // Completed exchange -> total segments (for re-acking duplicates).
   std::map<ExchangeKey, uint8_t> completed_;
   std::map<net::NetAddress, std::deque<ExchangeKey>> completed_order_;
-  std::unique_ptr<sim::Channel<Message>> incoming_calls_;
-  std::map<ExchangeKey, std::unique_ptr<sim::Channel<Message>>>
-      return_slots_;
+  sim::Channel<Message> incoming_calls_;
+  std::map<ExchangeKey, sim::Channel<Message>> return_slots_;
   // Last time any segment arrived from a peer (probe bookkeeping).
   std::map<net::NetAddress, sim::TimePoint> last_activity_;
 };

@@ -9,16 +9,47 @@
 #define SRC_SIM_CHANNEL_H_
 
 #include <coroutine>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <utility>
+#include <vector>
 
 #include "src/common/check.h"
 #include "src/sim/crash.h"
 #include "src/sim/host.h"
 
 namespace circus::sim {
+
+// A FIFO queue over one vector and a head index. It allocates on its
+// first push only and then reuses its storage: the head resets when the
+// queue drains, and the live tail moves to the front once the head
+// passes the middle, so a steady queue settles at a fixed capacity.
+template <typename T>
+class Fifo {
+ public:
+  bool empty() const { return head_ == items_.size(); }
+  size_t size() const { return items_.size() - head_; }
+  T& front() { return items_[head_]; }
+  void push_back(T value) { items_.push_back(std::move(value)); }
+  T pop_front() {
+    T value = std::move(items_[head_++]);
+    if (head_ == items_.size()) {
+      clear();
+    } else if (head_ > items_.size() / 2) {
+      items_.erase(items_.begin(), items_.begin() + head_);
+      head_ = 0;
+    }
+    return value;
+  }
+  void clear() {
+    items_.clear();
+    head_ = 0;
+  }
+
+ private:
+  std::vector<T> items_;
+  size_t head_ = 0;
+};
 
 template <typename T>
 class Channel {
@@ -37,16 +68,12 @@ class Channel {
   void Send(T value) {
     // Hand the value directly to the oldest live waiter, if any.
     while (!receivers_.empty()) {
-      Receiver r = std::move(receivers_.front());
-      receivers_.pop_front();
-      std::shared_ptr<WaitState> state = r.state.lock();
-      if (!state || state->settled) {
+      std::shared_ptr<Waiter> waiter = receivers_.pop_front().lock();
+      if (!waiter || waiter->settled) {
         continue;
       }
-      state->settled = true;
-      *r.slot = std::move(value);
-      Executor* ex = executor();
-      ex->ScheduleAfter(Duration::Zero(), [state] { state->handle.resume(); });
+      waiter->value.emplace(std::move(value));
+      waiter->Wake(*executor());
       return;
     }
     queue_.push_back(std::move(value));
@@ -67,22 +94,34 @@ class Channel {
     if (queue_.empty()) {
       return std::nullopt;
     }
-    T v = std::move(queue_.front());
-    queue_.pop_front();
-    return v;
+    return queue_.pop_front();
   }
 
-  void Clear() { queue_.clear(); }
-
  private:
-  struct Receiver {
-    std::weak_ptr<WaitState> state;
-    std::shared_ptr<std::optional<T>> slot;
+  // One suspended receive: its wait state and the slot Send fills, in one
+  // heap block. The awaiter owns it; the channel and the host hold weak
+  // references.
+  struct Waiter : WaitState {
+    std::optional<T> value;
   };
 
   Executor* executor() const {
     CIRCUS_CHECK(host_ != nullptr);
     return &host_->executor();
+  }
+
+  // Queues a receiver behind the live ones. Receivers that timed out or
+  // crashed leave from the front first (Send would skip them anyway), so
+  // a channel that keeps timing out does not grow.
+  void AddReceiver(const std::shared_ptr<Waiter>& waiter) {
+    while (!receivers_.empty()) {
+      std::shared_ptr<Waiter> front = receivers_.front().lock();
+      if (front && !front->settled) {
+        break;
+      }
+      receivers_.pop_front();
+    }
+    receivers_.push_back(waiter);
   }
 
   class ReceiveAwaiter {
@@ -96,35 +135,24 @@ class Channel {
         return true;
       }
       if (!channel_->queue_.empty()) {
-        immediate_ = std::move(channel_->queue_.front());
-        channel_->queue_.pop_front();
+        immediate_ = channel_->queue_.pop_front();
         return true;
       }
       return false;
     }
 
     void await_suspend(std::coroutine_handle<> h) {
-      state_ = std::make_shared<WaitState>();
-      state_->handle = h;
-      slot_ = std::make_shared<std::optional<T>>();
+      waiter_ = std::make_shared<Waiter>();
+      waiter_->handle = h;
       if (channel_->host_ != nullptr) {
-        channel_->host_->RegisterWaiter(state_);
-        if (state_->settled) {
+        channel_->host_->RegisterWaiter(waiter_);
+        if (waiter_->settled) {
           return;  // host went down between ready and suspend (defensive)
         }
       }
-      channel_->receivers_.push_back(Receiver{state_, slot_});
+      channel_->AddReceiver(waiter_);
       if (timeout_.has_value()) {
-        std::shared_ptr<WaitState> s = state_;
-        executor_ = channel_->executor();
-        timer_ = executor_->ScheduleAfter(*timeout_, [s] {
-          if (s->settled) {
-            return;
-          }
-          s->settled = true;
-          s->timed_out = true;
-          s->handle.resume();
-        });
+        timer_.Arm(channel_->executor(), waiter_.get(), *timeout_);
       }
     }
 
@@ -135,23 +163,13 @@ class Channel {
       if (host_down_) {
         throw HostCrashedError();
       }
-      if (immediate_.has_value()) {
+      if (waiter_ == nullptr) {
         return std::move(immediate_);
       }
-      if (timer_ != 0 && !state_->timed_out) {
-        // A value or a crash won the race: the timeout leaves the queue
-        // now instead of firing as a no-op later. The executor was cached
-        // at suspend because the channel (say, a discarded return slot)
-        // may have been destroyed while this waiter slept.
-        executor_->Cancel(timer_);
-      }
-      if (state_->crashed) {
+      if (waiter_->crashed) {
         throw HostCrashedError();
       }
-      if (state_->timed_out) {
-        return std::nullopt;
-      }
-      return std::move(*slot_);
+      return std::move(waiter_->value);  // empty on timeout
     }
 
    private:
@@ -159,15 +177,13 @@ class Channel {
     std::optional<Duration> timeout_;
     bool host_down_ = false;
     std::optional<T> immediate_;
-    std::shared_ptr<WaitState> state_;
-    std::shared_ptr<std::optional<T>> slot_;
-    Executor* executor_ = nullptr;
-    uint64_t timer_ = 0;  // the timeout's event id; 0 when none armed
+    std::shared_ptr<Waiter> waiter_;
+    WaitTimeout timer_;  // declared after waiter_, so cancelled before it dies
   };
 
   Host* host_;
-  std::deque<T> queue_;
-  std::deque<Receiver> receivers_;
+  Fifo<T> queue_;
+  Fifo<std::weak_ptr<Waiter>> receivers_;
 };
 
 // Convenience coroutine: receive and unwrap (no timeout, so the optional

@@ -49,19 +49,17 @@ void Host::Restart() {
 }
 
 void Host::WakeAllWithCrash() {
-  std::vector<std::weak_ptr<WaitState>> waiters = std::move(waiters_);
-  waiters_.clear();
-  for (auto& weak : waiters) {
+  // Waking only schedules resumptions, so nothing re-enters the registry
+  // while it is walked; clearing it in place keeps its capacity.
+  for (const std::weak_ptr<WaitState>& weak : waiters_) {
     std::shared_ptr<WaitState> state = weak.lock();
     if (!state || state->settled) {
       continue;
     }
-    state->settled = true;
     state->crashed = true;
-    executor_->ScheduleAfter(Duration::Zero(), [state] {
-      state->handle.resume();
-    });
+    state->Wake(*executor_);
   }
+  waiters_.clear();
 }
 
 Task<void> Host::OccupyCpu(Duration d) {
@@ -69,17 +67,6 @@ Task<void> Host::OccupyCpu(Duration d) {
   const TimePoint start = cpu_busy_until_ > now ? cpu_busy_until_ : now;
   cpu_busy_until_ = start + d;
   co_await SleepFor(cpu_busy_until_ - now);
-}
-
-Task<void> Host::DoSyscall(Syscall s) {
-  const Duration cost = cost_model_.cost(s);
-  cpu_.syscall_count[static_cast<int>(s)]++;
-  cpu_.syscall_time[static_cast<int>(s)] += cost;
-  if (cost > Duration::Zero()) {
-    co_await OccupyCpu(cost);
-  } else if (!up_) {
-    throw HostCrashedError();
-  }
 }
 
 Task<void> Host::Compute(Duration d) {
@@ -108,11 +95,8 @@ void Host::RemoveCrashListener(ListenerId id) { crash_listeners_.erase(id); }
 void Host::RegisterWaiter(std::shared_ptr<WaitState> state) {
   if (!up_) {
     // Host already down: settle immediately as crashed.
-    state->settled = true;
     state->crashed = true;
-    executor_->ScheduleAfter(Duration::Zero(), [state] {
-      state->handle.resume();
-    });
+    state->Wake(*executor_);
     return;
   }
   // Opportunistically compact the registry.

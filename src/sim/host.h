@@ -27,12 +27,54 @@ namespace circus::sim {
 
 // Shared state between a suspended coroutine and whatever will wake it
 // (a timer, a message arrival, or a host crash). Exactly one waker wins:
-// the first to flip `settled`.
+// the first to flip `settled`. The awaiter owns the state; wakers hold
+// weak references, and the events they schedule hold no reference at all.
 struct WaitState {
   std::coroutine_handle<> handle;
   bool settled = false;
   bool crashed = false;
-  bool timed_out = false;
+
+  // Settles the wait and schedules the coroutine's resumption. The event
+  // captures only the handle, so it fits std::function's local buffer.
+  void Wake(Executor& executor) {
+    settled = true;
+    executor.ScheduleAfter(Duration::Zero(), [h = handle] { h.resume(); });
+  }
+};
+
+// A timeout on a wait: after `delay`, settles `state` and resumes its
+// coroutine unless something else settled it first. The event holds a
+// raw pointer to the state, so it must not outlive it: the awaiter that
+// owns the state owns this too, and destroying it cancels the event,
+// whether a value or a crash won or the suspended coroutine was
+// destroyed. (After the event ran, Cancel is a no-op.)
+class WaitTimeout {
+ public:
+  WaitTimeout() = default;
+  WaitTimeout(const WaitTimeout&) = delete;
+  WaitTimeout& operator=(const WaitTimeout&) = delete;
+  ~WaitTimeout() {
+    if (event_ != 0) {
+      executor_->Cancel(event_);
+    }
+  }
+
+  void Arm(Executor* executor, WaitState* state, Duration delay) {
+    executor_ = executor;
+    event_ = executor->ScheduleAfter(delay, [state] {
+      if (state->settled) {
+        return;
+      }
+      state->settled = true;
+      state->handle.resume();
+    });
+  }
+
+ private:
+  // Kept from Arm: the waited-on object (say, a discarded return slot)
+  // may be gone by the time this is destroyed.
+  Executor* executor_ = nullptr;
+  uint64_t event_ = 0;  // 0 while unarmed
 };
 
 class Host {
@@ -66,48 +108,18 @@ class Host {
   // --- Wait primitives (all wake with HostCrashedError on crash) ---
 
   // Sleeps for `d` of simulated time.
-  auto SleepFor(Duration d) {
-    struct Awaiter {
-      Host* host;
-      Duration delay;
-      std::shared_ptr<WaitState> state;
-      uint64_t timer = 0;
-      bool await_ready() {
-        return !host->up();  // resume immediately; await_resume throws
-      }
-      void await_suspend(std::coroutine_handle<> h) {
-        state = std::make_shared<WaitState>();
-        state->handle = h;
-        host->RegisterWaiter(state);
-        std::shared_ptr<WaitState> s = state;
-        timer = host->executor_->ScheduleAfter(delay, [s] {
-          if (s->settled) {
-            return;
-          }
-          s->settled = true;
-          s->handle.resume();
-        });
-      }
-      void await_resume() {
-        if (!state) {
-          throw HostCrashedError();  // host was already down
-        }
-        if (state->crashed) {
-          // The crash won: drop the sleep's timer from the queue.
-          host->executor_->Cancel(timer);
-          throw HostCrashedError();
-        }
-      }
-    };
-    return Awaiter{this, d, nullptr};
-  }
+  class SleepAwaiter;
+  SleepAwaiter SleepFor(Duration d);
 
   // Issues a simulated system call: charges its kernel CPU cost to this
   // host and occupies the (single) CPU for that long — concurrent
   // processes on one host serialize their CPU consumption, which is what
   // makes the per-member sendmsg cost of a simulated multicast add up
-  // linearly in real time (Section 4.4.1).
-  Task<void> DoSyscall(Syscall s);
+  // linearly in real time (Section 4.4.1). A zero-cost call (the Free
+  // model, and every call on the real runtime) completes without
+  // suspending or allocating a coroutine frame.
+  class SyscallAwaiter;
+  SyscallAwaiter DoSyscall(Syscall s);
 
   // Charges user-mode CPU (stub code, marshaling); also occupies the CPU.
   Task<void> Compute(Duration d);
@@ -170,6 +182,70 @@ class Host {
   std::map<ListenerId, std::function<void()>> crash_listeners_;
   ListenerId next_listener_id_ = 1;
 };
+
+class Host::SleepAwaiter {
+ public:
+  SleepAwaiter(Host* host, Duration delay) : host_(host), delay_(delay) {}
+
+  bool await_ready() const {
+    return !host_->up();  // resume immediately; await_resume throws
+  }
+  void await_suspend(std::coroutine_handle<> h) {
+    state_ = std::make_shared<WaitState>();
+    state_->handle = h;
+    host_->RegisterWaiter(state_);
+    timer_.Arm(host_->executor_, state_.get(), delay_);
+  }
+  void await_resume() const {
+    if (state_ == nullptr || state_->crashed) {
+      throw HostCrashedError();  // the host was down, or the crash won
+    }
+  }
+
+ private:
+  Host* host_;
+  Duration delay_;
+  std::shared_ptr<WaitState> state_;
+  WaitTimeout timer_;  // declared after state_, so cancelled before it dies
+};
+
+class Host::SyscallAwaiter {
+ public:
+  SyscallAwaiter(Host* host, Syscall s) : host_(host), syscall_(s) {}
+
+  bool await_ready() {
+    host_->ChargeSyscallInstant(syscall_);
+    const Duration cost = host_->cost_model_.cost(syscall_);
+    if (cost > Duration::Zero()) {
+      occupy_ = host_->OccupyCpu(cost);
+      return false;
+    }
+    return true;  // await_resume still throws on a down host
+  }
+  std::coroutine_handle<> await_suspend(std::coroutine_handle<> h) {
+    return std::move(occupy_).operator co_await().await_suspend(h);
+  }
+  void await_resume() {
+    if (occupy_.valid()) {
+      std::move(occupy_).operator co_await().await_resume();
+    } else if (!host_->up()) {
+      throw HostCrashedError();
+    }
+  }
+
+ private:
+  Host* host_;
+  Syscall syscall_;
+  Task<void> occupy_;  // the CPU occupation of a nonzero-cost call
+};
+
+inline Host::SleepAwaiter Host::SleepFor(Duration d) {
+  return SleepAwaiter(this, d);
+}
+
+inline Host::SyscallAwaiter Host::DoSyscall(Syscall s) {
+  return SyscallAwaiter(this, s);
+}
 
 }  // namespace circus::sim
 

@@ -32,10 +32,7 @@ class Notification {
       if (!state || state->settled) {
         continue;
       }
-      state->settled = true;
-      host_->executor().ScheduleAfter(Duration::Zero(), [state] {
-        state->handle.resume();
-      });
+      state->Wake(host_->executor());
     }
   }
 

@@ -483,6 +483,74 @@ TEST_F(MsgTest, DiscardedReturnIsDropped) {
   EXPECT_EQ(server->counters().messages_delivered, 1u);
 }
 
+// How the caller gives up on a call before its return arrives.
+enum class GiveUp { kSendFails, kAwaitGivesUp };
+
+class LateReturnTest : public MsgTest,
+                       public ::testing::WithParamInterface<GiveUp> {};
+
+TEST_P(LateReturnTest, ReturnAfterCallerGaveUpIsDropped) {
+  EndpointOptions opts;
+  opts.timer_jitter = 0;
+  auto client = MakeClient(opts);
+  auto server = MakeServer(opts);
+  // The server returns at 10 s; the link is cut before then and healed
+  // at 9 s, so the return arrives after the caller gave up.
+  server_host_->Spawn([](PairedEndpoint* ep) -> Task<void> {
+    Message m = co_await ep->NextIncomingCall();
+    co_await ep->host()->SleepFor(Duration::Seconds(10));
+    co_await ep->SendMessage(m.peer, MessageType::kReturn, m.call_number,
+                             BytesFromString("late"));
+  }(server.get()));
+  // Cut before the send's retransmission is acknowledged (so the send
+  // fails), or after it was and while the caller probes (so AwaitReturn
+  // gives up).
+  const Duration cut = GetParam() == GiveUp::kSendFails
+                           ? Duration::Millis(100)
+                           : Duration::Seconds(1);
+  world_.executor().ScheduleAfter(cut, [this] {
+    world_.network().Partition({server_host_->id()});
+  });
+  world_.executor().ScheduleAfter(Duration::Seconds(9), [this] {
+    world_.network().HealPartitions();
+  });
+  Status gave_up;
+  world_.executor().Spawn([](PairedEndpoint* ep, NetAddress to, GiveUp how,
+                             Status* out) -> Task<void> {
+    Status s = co_await ep->SendMessage(to, MessageType::kCall, 1,
+                                        BytesFromString("q"));
+    if (how == GiveUp::kAwaitGivesUp) {
+      CIRCUS_CHECK(s.ok());
+      StatusOr<Message> m = co_await ep->AwaitReturn(to, 1);
+      s = m.status();
+    }
+    *out = s;
+  }(client.get(), server->local_address(), GetParam(), &gave_up));
+  world_.RunFor(Duration::Seconds(11));
+  EXPECT_EQ(gave_up.code(), ErrorCode::kCrashDetected);
+  // The return arrived and was delivered, but nobody awaits it: no slot
+  // is parked for it.
+  EXPECT_EQ(client->counters().messages_delivered, 1u);
+  EXPECT_EQ(client->counters().late_returns_dropped, 1u);
+  EXPECT_EQ(client->return_slot_count(), 0u);
+  std::optional<Message> parked;
+  world_.executor().Spawn([](PairedEndpoint* ep, NetAddress to,
+                             std::optional<Message>* out) -> Task<void> {
+    *out = co_await ep->TryAwaitReturn(to, 1, Duration::Millis(1));
+  }(client.get(), server->local_address(), &parked));
+  world_.RunFor(Duration::Millis(2));
+  EXPECT_FALSE(parked.has_value());
+}
+
+std::string GiveUpName(const ::testing::TestParamInfo<GiveUp>& param) {
+  return param.param == GiveUp::kSendFails ? "SendFails" : "AwaitGivesUp";
+}
+
+INSTANTIATE_TEST_SUITE_P(GiveUps, LateReturnTest,
+                         ::testing::Values(GiveUp::kSendFails,
+                                           GiveUp::kAwaitGivesUp),
+                         GiveUpName);
+
 TEST_F(MsgTest, ProbeOfUnknownCallAnswersAckZero) {
   // A probe about a call the receiver never saw is answered with
   // acknowledgment number 0, which tells the sender to retransmit from

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <coroutine>
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -398,6 +400,63 @@ TEST(HostTest, ConcurrentCpuChargesSerialize) {
   EXPECT_EQ(ex.now().nanos(), Duration::Millis(10).nanos());
 }
 
+TEST(HostTest, SyscallOnDownHostThrowsAtAnyCost) {
+  // A zero-cost call completes without suspending, a costly one through
+  // the CPU occupation; both are charged and both throw on a down host.
+  for (const SyscallCostModel& model :
+       {SyscallCostModel::Free(), SyscallCostModel::Berkeley42Bsd()}) {
+    Executor ex;
+    Host host(&ex, 1, "vax1", model);
+    host.Crash();
+    bool threw = false;
+    ex.Spawn([](Host* h, bool* out) -> Task<void> {
+      try {
+        co_await h->DoSyscall(Syscall::kSendMsg);
+      } catch (const HostCrashedError&) {
+        *out = true;
+      }
+    }(&host, &threw));
+    ex.RunUntilIdle();
+    EXPECT_TRUE(threw);
+    EXPECT_EQ(host.cpu().count(Syscall::kSendMsg), 1u);
+  }
+}
+
+TEST(HostTest, CrashDuringCostlySyscallThrows) {
+  Executor ex;
+  Host host(&ex, 1, "vax1", SyscallCostModel::Berkeley42Bsd());
+  bool threw = false;
+  ex.Spawn([](Host* h, bool* out) -> Task<void> {
+    try {
+      co_await h->DoSyscall(Syscall::kSendMsg);  // 8.1 ms of CPU
+    } catch (const HostCrashedError&) {
+      *out = true;
+    }
+  }(&host, &threw));
+  ex.ScheduleAfter(Duration::Millis(1), [&] { host.Crash(); });
+  ex.RunUntilIdle();
+  EXPECT_TRUE(threw);
+  EXPECT_EQ(ex.now().nanos(), Duration::Millis(1).nanos());
+}
+
+TEST(HostTest, DestroyingSleeperCancelsItsTimer) {
+  // The sleep's timer points at the sleeper's wait state, so it must
+  // leave the queue with the coroutine, not fire into freed memory.
+  Executor ex;
+  Host host(&ex, 1, "vax1", SyscallCostModel::Free());
+  const size_t before = ex.pending_events();
+  std::coroutine_handle<> frame = [](Host* h) -> Task<void> {
+    co_await h->SleepFor(Duration::Seconds(5));
+  }(&host).Release();
+  frame.resume();  // runs to the sleep
+  EXPECT_EQ(ex.pending_events(), before + 1);
+  frame.destroy();
+  EXPECT_EQ(ex.pending_events(), before);
+  host.Crash();  // the registry's entry for the dead sleeper is skipped
+  ex.RunUntilIdle();
+  EXPECT_EQ(ex.now().nanos(), 0);
+}
+
 TEST(HostTest, SleepCompletesNormallyWhenNoCrash) {
   Executor ex;
   Host host(&ex, 1, "vax1", SyscallCostModel::Free());
@@ -535,6 +594,75 @@ TEST(ChannelTest, CrashWakesWaiterWhoseChannelIsGone) {
   ex.RunFor(Duration::Millis(1));
   EXPECT_TRUE(crashed);
   EXPECT_EQ(ex.pending_events(), 0u);
+}
+
+TEST(ChannelTest, DestroyingSuspendedReceiverCancelsItsTimeout) {
+  Executor ex;
+  Host host(&ex, 1, "h", SyscallCostModel::Free());
+  Channel<int> ch(&host);
+  const size_t before = ex.pending_events();
+  std::coroutine_handle<> frame = [](Channel<int>* c) -> Task<void> {
+    co_await c->ReceiveWithTimeout(Duration::Seconds(5));
+  }(&ch).Release();
+  frame.resume();  // runs to the receive
+  EXPECT_EQ(ex.pending_events(), before + 1);
+  frame.destroy();
+  EXPECT_EQ(ex.pending_events(), before);
+  // The dead receiver is skipped: the value queues for the next one.
+  ch.Send(3);
+  EXPECT_EQ(ch.size(), 1u);
+  EXPECT_EQ(ch.TryReceive(), 3);
+  EXPECT_EQ(ex.pending_events(), before);
+}
+
+TEST(ChannelTest, ReceiverThatKeptTimingOutGetsTheNextValue) {
+  // Each timed-out wait leaves the channel a dead receiver; none of them
+  // may take the value meant for the live one.
+  Executor ex;
+  Host host(&ex, 1, "h", SyscallCostModel::Free());
+  Channel<int> ch(&host);
+  int timeouts = 0;
+  std::optional<int> got;
+  ex.Spawn([](Channel<int>* c, int* t, std::optional<int>* out)
+               -> Task<void> {
+    while (true) {
+      std::optional<int> v =
+          co_await c->ReceiveWithTimeout(Duration::Millis(1));
+      if (v.has_value()) {
+        *out = v;
+        co_return;
+      }
+      ++*t;
+    }
+  }(&ch, &timeouts, &got));
+  ex.RunFor(Duration::MillisF(100.5));
+  EXPECT_EQ(timeouts, 100);
+  ch.Send(42);
+  ex.RunUntilIdle();
+  EXPECT_EQ(got, 42);
+  EXPECT_TRUE(ch.empty());
+}
+
+TEST(FifoTest, KeepsOrderAcrossDrainsAndCompaction) {
+  Fifo<int> q;
+  int next_in = 0;
+  int next_out = 0;
+  // Uneven push/pop rhythms drive the head past the middle (compaction)
+  // and to the end (reset) many times.
+  for (int round = 0; round < 50; ++round) {
+    for (int i = 0; i < round % 7 + 1; ++i) {
+      q.push_back(next_in++);
+    }
+    for (int i = 0; i < round % 5 + 1 && !q.empty(); ++i) {
+      EXPECT_EQ(q.front(), next_out);
+      EXPECT_EQ(q.pop_front(), next_out++);
+    }
+    EXPECT_EQ(q.size(), static_cast<size_t>(next_in - next_out));
+  }
+  while (!q.empty()) {
+    EXPECT_EQ(q.pop_front(), next_out++);
+  }
+  EXPECT_EQ(next_out, next_in);
 }
 
 TEST(ChannelTest, TryReceiveDoesNotBlock) {
