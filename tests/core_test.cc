@@ -3,6 +3,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -959,6 +960,10 @@ struct DecodeCase {
   Bytes raw;
   bool decodes;
 };
+
+// gtest would print the case as a raw byte dump (heap addresses
+// included) and ctest would put that dump into the test's name.
+void PrintTo(const DecodeCase& c, std::ostream* os) { *os << c.name; }
 
 Bytes SegmentWire(uint8_t type, uint8_t total, const std::string& data) {
   msg::Segment s;
