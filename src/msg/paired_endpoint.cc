@@ -122,96 +122,73 @@ sim::Task<void> PairedEndpoint::TransmitSegment(const net::NetAddress& to,
 sim::Task<circus::Status> PairedEndpoint::SendMessage(
     net::NetAddress to, MessageType type, uint32_t call_number,
     std::shared_ptr<const circus::Bytes> message) {
-  const ExchangeKey key{to, type, call_number};
-  const size_t size = message->size();
-  auto state = std::make_shared<SenderState>(
-      host(), std::move(message),
-      SegmentHeaders(type, call_number, size, options_.segment_data_bytes));
-  senders_[key] = state;
-  const circus::Bytes* data = state->message.get();
-  const std::vector<Segment>& segments = state->segments;
+  const bool is_return = (type == MessageType::kReturn);
+  const ExchangeId id{is_return ? Role::kPeerCalls : Role::kWeCall,
+                      call_number};
+  const uint8_t total =
+      SegmentCount(message->size(), options_.segment_data_bytes);
+  Send send(host(), total);
+  // A second send of one exchange takes the acks over from the first,
+  // which runs on without them.
+  Peer& peer = peers_[to];
+  peer.exchanges[id].send = &send;
+  peer.returns_sending += is_return ? 1 : 0;
 
+  // Circus transmits every segment up front; Xerox PARC RPC transmits
+  // each once the one before it is acknowledged, asking for an ack of
+  // all but the last. Both retransmit the first unacknowledged segment
+  // periodically with please-ack set.
+  const bool stop_and_wait =
+      (options_.mode == EndpointOptions::Mode::kStopAndWait);
+  int sent = 0;
+  int retries = 0;
   Status result;
-  if (options_.mode == EndpointOptions::Mode::kSlidingWindow) {
-    // Circus: transmit every segment up front, then retransmit the first
-    // unacknowledged one periodically with please-ack set.
-    for (const Segment& s : segments) {
-      co_await TransmitSegment(to, s, data, false);
+  while (sent < total || send.acked < total) {
+    if (sent < total && (!stop_and_wait || send.acked >= sent)) {
+      Segment s = SegmentHeader(type, call_number, total, ++sent);
+      s.please_ack = stop_and_wait && sent < total;
+      co_await TransmitSegment(to, s, message.get(), false);
+      continue;
     }
-    int retries = 0;
-    while (!state->all_acked()) {
-      host()->ChargeSyscallInstant(Syscall::kSetITimer);
-      host()->ChargeSyscallInstant(Syscall::kGetTimeOfDay);
-      std::optional<uint32_t> progress =
-          co_await state->progress.ReceiveWithTimeout(
-              Jittered(options_.retransmit_interval));
-      if (progress.has_value()) {
-        retries = 0;
-        continue;
-      }
-      if (++retries > options_.max_retransmits) {
-        result = Status(ErrorCode::kCrashDetected,
-                        "no acknowledgment from " + to.ToString());
-        if (crash_detections_metric_ != nullptr) {
-          crash_detections_metric_->Increment();
-        }
-        PublishSegmentEvent(obs::EventKind::kPeerCrashDetected, to,
-                            call_number, 0);
-        break;
-      }
-      Segment again = state->first_unacked_segment();
-      again.please_ack = true;
-      co_await TransmitSegment(to, again, data, true);
+    host()->ChargeSyscallInstant(Syscall::kSetITimer);
+    host()->ChargeSyscallInstant(Syscall::kGetTimeOfDay);
+    std::optional<uint32_t> progress =
+        co_await send.progress.ReceiveWithTimeout(
+            Jittered(options_.retransmit_interval));
+    if (progress.has_value()) {
+      retries = 0;
+      continue;
     }
-  } else {
-    // Xerox PARC RPC: explicit acknowledgment of every segment but the
-    // last, so at most one segment's worth of buffering per connection.
-    for (size_t i = 0; i < segments.size() && result.ok(); ++i) {
-      const bool last = (i + 1 == segments.size());
-      Segment s = segments[i];
-      if (!last) {
-        s.please_ack = true;
+    if (++retries > options_.max_retransmits) {
+      result = Status(ErrorCode::kCrashDetected,
+                      "no acknowledgment from " + to.ToString());
+      if (crash_detections_metric_ != nullptr) {
+        crash_detections_metric_->Increment();
       }
-      co_await TransmitSegment(to, s, data, false);
-      int attempts = 0;
-      while (!state->all_acked() &&
-             state->first_unacked_segment().segment_number <=
-                 s.segment_number) {
-        host()->ChargeSyscallInstant(Syscall::kSetITimer);
-        host()->ChargeSyscallInstant(Syscall::kGetTimeOfDay);
-        std::optional<uint32_t> progress =
-            co_await state->progress.ReceiveWithTimeout(
-                Jittered(options_.retransmit_interval));
-        if (progress.has_value()) {
-          attempts = 0;
-          continue;
-        }
-        if (++attempts > options_.max_retransmits) {
-          result = Status(ErrorCode::kCrashDetected,
-                          "no acknowledgment from " + to.ToString());
-          if (crash_detections_metric_ != nullptr) {
-            crash_detections_metric_->Increment();
-          }
-          PublishSegmentEvent(obs::EventKind::kPeerCrashDetected, to,
-                              call_number, 0);
-          break;
-        }
-        Segment again = state->first_unacked_segment();
-        again.please_ack = true;
-        co_await TransmitSegment(to, again, data, true);
-      }
+      PublishSegmentEvent(obs::EventKind::kPeerCrashDetected, to,
+                          call_number, 0);
+      break;
     }
+    Segment again = SegmentHeader(type, call_number, total, send.acked + 1);
+    again.please_ack = true;
+    co_await TransmitSegment(to, again, message.get(), true);
   }
-  senders_.erase(key);
+  peer.returns_sending -= is_return ? 1 : 0;
+  if (auto it = peer.exchanges.find(id);
+      it != peer.exchanges.end() && it->second.send == &send) {
+    it->second.send = nullptr;
+    FreeIfIdle(peer, it);
+  }
   co_return result;
 }
 
 sim::Task<void> PairedEndpoint::BlastMulticast(
     net::NetAddress group, MessageType type, uint32_t call_number,
     std::shared_ptr<const circus::Bytes> message) {
-  const std::vector<Segment> segments = SegmentHeaders(
-      type, call_number, message->size(), options_.segment_data_bytes);
-  for (const Segment& s : segments) {
+  const uint8_t total =
+      SegmentCount(message->size(), options_.segment_data_bytes);
+  for (int n = 1; n <= total; ++n) {
+    const Segment s = SegmentHeader(type, call_number, total, n);
     co_await TransmitSegment(group, s, message.get(), false);
   }
 }
@@ -222,33 +199,36 @@ sim::Task<Message> PairedEndpoint::NextIncomingCall() {
   co_return co_await ReceiveValue(incoming_calls_);
 }
 
-sim::Channel<Message>& PairedEndpoint::ReturnSlot(const ExchangeKey& key) {
-  return return_slots_.try_emplace(key, host()).first->second;
+void PairedEndpoint::DropReturnSlot(Peer& peer, uint32_t call_number) {
+  auto it = peer.exchanges.find({Role::kWeCall, call_number});
+  if (it != peer.exchanges.end()) {
+    it->second.slot.reset();
+    FreeIfIdle(peer, it);
+  }
 }
 
 sim::Task<circus::StatusOr<Message>> PairedEndpoint::AwaitReturn(
     net::NetAddress peer, uint32_t call_number) {
-  const ExchangeKey key{peer, MessageType::kReturn, call_number};
+  Peer& p = peers_[peer];
   int silent_probes = 0;
   while (true) {
     host()->ChargeSyscallInstant(Syscall::kSetITimer);
     host()->ChargeSyscallInstant(Syscall::kGetTimeOfDay);
     std::optional<Message> m =
-        co_await ReturnSlot(key).ReceiveWithTimeout(
-            Jittered(options_.probe_interval));
+        co_await p.exchanges[{Role::kWeCall, call_number}]
+            .Slot(host())
+            .ReceiveWithTimeout(Jittered(options_.probe_interval));
     if (m.has_value()) {
-      return_slots_.erase(key);
+      DropReturnSlot(p, call_number);
       co_return std::move(*m);
     }
     // No reply yet. If we heard anything at all from the peer recently,
     // it is alive but slow; only silence counts against it.
-    auto activity = last_activity_.find(peer);
-    if (activity != last_activity_.end() &&
-        host()->executor().now() - activity->second <
-            options_.probe_interval) {
+    if (p.last_heard.has_value() &&
+        host()->executor().now() - *p.last_heard < options_.probe_interval) {
       silent_probes = 0;
     } else if (++silent_probes > options_.max_silent_probes) {
-      return_slots_.erase(key);
+      DropReturnSlot(p, call_number);
       if (crash_detections_metric_ != nullptr) {
         crash_detections_metric_->Increment();
       }
@@ -261,32 +241,29 @@ sim::Task<circus::StatusOr<Message>> PairedEndpoint::AwaitReturn(
       probe_rounds_metric_->Increment();
     }
     // Probe: a control segment asking for the ack state of our call.
-    Segment probe;
-    probe.type = MessageType::kCall;
-    probe.call_number = call_number;
+    Segment probe = SegmentHeader(MessageType::kCall, call_number, 1, 0);
     probe.please_ack = true;
-    probe.segment_number = 0;
-    probe.total_segments = 1;
     co_await TransmitSegment(peer, probe, nullptr, false);
   }
 }
 
 sim::Task<std::optional<Message>> PairedEndpoint::TryAwaitReturn(
     net::NetAddress peer, uint32_t call_number, sim::Duration timeout) {
-  const ExchangeKey key{peer, MessageType::kReturn, call_number};
+  Peer& p = peers_[peer];
   host()->ChargeSyscallInstant(Syscall::kSetITimer);
   std::optional<Message> m =
-      co_await ReturnSlot(key).ReceiveWithTimeout(timeout);
+      co_await p.exchanges[{Role::kWeCall, call_number}]
+          .Slot(host())
+          .ReceiveWithTimeout(timeout);
   if (m.has_value()) {
-    return_slots_.erase(key);
+    DropReturnSlot(p, call_number);
   }
   co_return std::move(m);
 }
 
 void PairedEndpoint::DiscardReturn(net::NetAddress peer,
                                    uint32_t call_number) {
-  return_slots_.erase(
-      ExchangeKey{peer, MessageType::kReturn, call_number});
+  DropReturnSlot(peers_[peer], call_number);
 }
 
 sim::Task<void> PairedEndpoint::ReceiverLoop() {
@@ -310,90 +287,74 @@ sim::Task<void> PairedEndpoint::ReceiverLoop() {
 
 void PairedEndpoint::HandleSegment(const net::NetAddress& from,
                                    Segment seg) {
-  last_activity_[from] = host()->executor().now();
+  Peer& peer = peers_[from];
+  peer.last_heard = host()->executor().now();
+  // A call's data segments and probes come from its caller and its acks
+  // from its callee; a return's the other way round.
+  const bool from_caller = (seg.type == MessageType::kCall) != seg.ack;
+  const ExchangeId id{from_caller ? Role::kPeerCalls : Role::kWeCall,
+                      seg.call_number};
+  if (seg.is_data()) {
+    HandleData(from, peer, id, std::move(seg));
+    return;
+  }
+  auto it = peer.exchanges.find(id);
+  Exchange* e = (it == peer.exchanges.end()) ? nullptr : &it->second;
   if (seg.ack) {
-    HandleAck(from, seg);
-  } else if (seg.is_probe()) {
-    HandleProbe(from, seg);
-  } else {
-    HandleData(from, std::move(seg));
+    if (e == nullptr || e->send == nullptr) {
+      return;  // stale ack for a finished exchange
+    }
+    Send& send = *e->send;
+    send.acked = std::max(send.acked,
+                          std::min(seg.segment_number, send.total_segments));
+    send.progress.Send(seg.segment_number);
+  } else if (seg.please_ack) {
+    // A probe. Subsequent please-ack segments (after completion) must be
+    // answered promptly (Section 4.2.4); one about an exchange never
+    // seen is answered with 0, so its sender retransmits from the start.
+    const bool seen = (e != nullptr && e->total_segments != 0);
+    SendAck(from, seg.type, seg.call_number,
+            seen ? e->total_segments : seg.total_segments,
+            seen ? e->ack_number : 0);
   }
 }
 
-void PairedEndpoint::HandleAck(const net::NetAddress& from,
-                               const Segment& seg) {
-  const ExchangeKey key{from, seg.type, seg.call_number};
-  auto it = senders_.find(key);
-  if (it == senders_.end()) {
-    return;  // stale ack for a finished exchange
-  }
-  SenderState& state = *it->second;
-  const uint8_t ack_number = seg.segment_number;
-  while (!state.all_acked() &&
-         state.first_unacked_segment().segment_number <= ack_number) {
-    ++state.first_unacked;
-  }
-  state.progress.Send(ack_number);
-}
-
-void PairedEndpoint::HandleProbe(const net::NetAddress& from,
-                                 const Segment& seg) {
-  if (!seg.please_ack) {
-    return;
-  }
-  const ExchangeKey key{from, seg.type, seg.call_number};
-  // Subsequent please-ack segments (after completion) must be answered
-  // promptly (Section 4.2.4).
-  auto done = completed_.find(key);
-  if (done != completed_.end()) {
-    SendAck(from, seg.type, seg.call_number, done->second, done->second);
-    return;
-  }
-  auto partial = reassembly_.find(key);
-  if (partial != reassembly_.end()) {
-    SendAck(from, seg.type, seg.call_number, partial->second.total_segments,
-            partial->second.ack_number);
-    return;
-  }
-  SendAck(from, seg.type, seg.call_number, seg.total_segments, 0);
-}
-
-void PairedEndpoint::ApplyImplicitAcks(const net::NetAddress& from,
-                                       const Segment& seg) {
-  auto full_ack = [this](std::map<ExchangeKey,
-                                  std::shared_ptr<SenderState>>::iterator
-                             it) {
-    it->second->first_unacked = it->second->segments.size();
-    it->second->progress.Send(UINT32_MAX);
+void PairedEndpoint::ApplyImplicitAcks(Peer& peer,
+                                       ExchangeMap::iterator exchange,
+                                       MessageType type) {
+  auto full_ack = [](Send* send) {
+    if (send != nullptr) {
+      send->acked = send->total_segments;
+      send->progress.Send(UINT32_MAX);
+    }
   };
-  if (seg.type == MessageType::kReturn) {
+  if (type == MessageType::kReturn) {
     // A return segment implicitly acknowledges the call with the same
     // call number.
-    auto it = senders_.find(
-        ExchangeKey{from, MessageType::kCall, seg.call_number});
-    if (it != senders_.end()) {
-      full_ack(it);
-    }
-  } else {
-    // A call segment implicitly acknowledges returns with earlier call
-    // numbers sent to that peer.
-    auto it = senders_.lower_bound(
-        ExchangeKey{from, MessageType::kReturn, 0});
-    while (it != senders_.end() && it->first.peer == from &&
-           it->first.type == MessageType::kReturn &&
-           it->first.call_number < seg.call_number) {
-      auto next = std::next(it);
-      full_ack(it);
-      it = next;
-    }
+    full_ack(exchange->second.send);
+    return;
+  }
+  // A call segment implicitly acknowledges returns with earlier call
+  // numbers sent to that peer, oldest first. Their exchanges sit just
+  // below this one (kPeerCalls sorts first): step down past the oldest
+  // still sending, then ack upwards.
+  auto it = exchange;
+  for (size_t left = peer.returns_sending;
+       left > 0 && it != peer.exchanges.begin();) {
+    --it;
+    left -= (it->second.send != nullptr) ? 1 : 0;
+  }
+  for (; it != exchange; ++it) {
+    full_ack(it->second.send);
   }
 }
 
-void PairedEndpoint::HandleData(const net::NetAddress& from, Segment seg) {
-  ApplyImplicitAcks(from, seg);
-  const ExchangeKey key{from, seg.type, seg.call_number};
-  auto done = completed_.find(key);
-  if (done != completed_.end()) {
+void PairedEndpoint::HandleData(const net::NetAddress& from, Peer& peer,
+                                ExchangeId id, Segment seg) {
+  const ExchangeMap::iterator it = peer.exchanges.try_emplace(id).first;
+  ApplyImplicitAcks(peer, it, seg.type);
+  Exchange& e = it->second;
+  if (e.completed()) {
     // Duplicate of a completed exchange: re-acknowledge, never redeliver
     // (this is what makes execution exactly-once at the message level).
     ++counters_.duplicate_messages_suppressed;
@@ -403,73 +364,70 @@ void PairedEndpoint::HandleData(const net::NetAddress& from, Segment seg) {
     PublishSegmentEvent(obs::EventKind::kDuplicateSuppressed, from,
                         seg.call_number, seg.segment_number);
     if (seg.please_ack) {
-      SendAck(from, seg.type, seg.call_number, done->second, done->second);
+      SendAck(from, seg.type, seg.call_number, e.ack_number, e.ack_number);
     }
     return;
   }
-  Reassembly& r = reassembly_[key];
-  if (r.total_segments == 0) {
-    r.total_segments = seg.total_segments;
-    r.parts.resize(seg.total_segments);
+  if (e.total_segments == 0) {
+    e.total_segments = seg.total_segments;
   }
-  if (seg.total_segments != r.total_segments ||
-      seg.segment_number > r.total_segments) {
+  if (seg.total_segments != e.total_segments ||
+      seg.segment_number > e.total_segments) {
     return;  // inconsistent header; drop like a garbled packet
   }
-  const size_t index = seg.segment_number - 1;
-  r.parts[index] = std::move(seg.data);
-  while (r.ack_number < r.total_segments &&
-         r.parts[r.ack_number].has_value()) {
-    ++r.ack_number;
-  }
-  const bool complete = (r.ack_number == r.total_segments);
-  if (complete) {
-    circus::Bytes data;
-    if (r.parts.size() == 1) {
-      data = std::move(*r.parts[0]);
-    } else {
-      std::vector<circus::Bytes> parts;
-      parts.reserve(r.parts.size());
-      for (std::optional<circus::Bytes>& p : r.parts) {
-        parts.push_back(std::move(*p));
+  circus::Bytes data;
+  if (e.total_segments == 1) {
+    data = std::move(seg.data);
+    e.ack_number = 1;
+  } else {
+    e.parts.resize(e.total_segments);
+    e.parts[seg.segment_number - 1] = std::move(seg.data);
+    while (e.ack_number < e.total_segments &&
+           e.parts[e.ack_number].has_value()) {
+      ++e.ack_number;
+    }
+    if (e.ack_number < e.total_segments) {
+      // Answer an explicit request, and an out-of-order arrival (a
+      // segment below this one was lost) at once, so the sender
+      // retransmits the missing segment rather than an earlier one
+      // (Section 4.2.4).
+      if (seg.please_ack || seg.segment_number > e.ack_number + 1) {
+        SendAck(from, seg.type, seg.call_number, e.total_segments,
+                e.ack_number);
       }
-      data = JoinSegments(parts);
+      return;
     }
-    const uint8_t total = r.total_segments;
-    reassembly_.erase(key);
-    RememberCompleted(key, total);
-    // Acknowledgment policy on completion (Section 4.2.4): for a call
-    // message, postpone in the hope that the return will serve as the
-    // implicit ack; for a return message, answer an explicit request.
-    if (seg.type == MessageType::kReturn && seg.please_ack) {
-      SendAck(from, seg.type, seg.call_number, total, total);
+    data.reserve(e.total_segments * options_.segment_data_bytes);
+    for (const std::optional<circus::Bytes>& part : e.parts) {
+      data.insert(data.end(), part->begin(), part->end());
     }
-    DeliverMessage(from, seg.type, seg.call_number, std::move(data));
-    return;
   }
-  if (seg.please_ack) {
-    SendAck(from, seg.type, seg.call_number, r.total_segments,
-            r.ack_number);
-    return;
+  e.parts = {};
+  // Acknowledgment policy on completion (Section 4.2.4): for a call
+  // message, postpone in the hope that the return will serve as the
+  // implicit ack; for a return message, answer an explicit request.
+  if (seg.type == MessageType::kReturn && seg.please_ack) {
+    SendAck(from, seg.type, seg.call_number, e.total_segments,
+            e.total_segments);
   }
-  if (seg.segment_number > r.ack_number + 1) {
-    // Out-of-order arrival: a segment below this one was lost. Ack
-    // immediately so the sender retransmits the missing segment rather
-    // than an earlier one (Section 4.2.4).
-    SendAck(from, seg.type, seg.call_number, r.total_segments,
-            r.ack_number);
+  DeliverMessage(from, e, seg.type, seg.call_number, std::move(data));
+  // Remember the exchange for duplicate suppression ("kept until no
+  // delayed segments can arrive"), forgetting the oldest past the bound.
+  peer.history.push_back(it);
+  while (peer.history.size() > options_.completed_history_per_peer) {
+    const ExchangeMap::iterator oldest = peer.history.pop_front();
+    oldest->second.total_segments = oldest->second.ack_number = 0;
+    FreeIfIdle(peer, oldest);
   }
 }
 
 void PairedEndpoint::SendAck(const net::NetAddress& to, MessageType type,
                              uint32_t call_number, uint8_t total_segments,
                              uint8_t ack_number) {
-  Segment ack;
-  ack.type = type;
+  Segment ack = SegmentHeader(type, call_number,
+                              total_segments == 0 ? 1 : total_segments,
+                              ack_number);
   ack.ack = true;
-  ack.total_segments = total_segments == 0 ? 1 : total_segments;
-  ack.segment_number = ack_number;
-  ack.call_number = call_number;
   // Acks are sent from within the receiver's critical region; fire and
   // forget (they are themselves unreliable).
   ++counters_.ack_segments_sent;
@@ -480,7 +438,8 @@ void PairedEndpoint::SendAck(const net::NetAddress& to, MessageType type,
 }
 
 void PairedEndpoint::DeliverMessage(const net::NetAddress& from,
-                                    MessageType type, uint32_t call_number,
+                                    Exchange& exchange, MessageType type,
+                                    uint32_t call_number,
                                     circus::Bytes data) {
   ++counters_.messages_delivered;
   PublishSegmentEvent(obs::EventKind::kMessageDelivered, from, call_number,
@@ -495,27 +454,53 @@ void PairedEndpoint::DeliverMessage(const net::NetAddress& from,
   // running (the return's implicit ack arrived before SendMessage
   // resumed). Otherwise the caller gave up and the slot would be parked
   // forever.
-  const ExchangeKey key{from, type, call_number};
-  auto slot = return_slots_.find(key);
-  if (slot != return_slots_.end()) {
-    slot->second.Send(std::move(m));
-  } else if (senders_.contains(
-                 ExchangeKey{from, MessageType::kCall, call_number})) {
-    ReturnSlot(key).Send(std::move(m));
-  } else {
+  if (!exchange.slot.has_value() && exchange.send == nullptr) {
     ++counters_.late_returns_dropped;
+    return;
+  }
+  exchange.Slot(host()).Send(std::move(m));
+}
+
+void PairedEndpoint::FreeIfIdle(Peer& peer, ExchangeMap::iterator exchange) {
+  if (exchange->second.idle()) {
+    peer.exchanges.erase(exchange);
   }
 }
 
-void PairedEndpoint::RememberCompleted(const ExchangeKey& key,
-                                       uint8_t total_segments) {
-  completed_[key] = total_segments;
-  std::deque<ExchangeKey>& order = completed_order_[key.peer];
-  order.push_back(key);
-  while (order.size() > options_.completed_history_per_peer) {
-    completed_.erase(order.front());
-    order.pop_front();
+// ---------------------------------------------------------- Introspection
+
+size_t PairedEndpoint::return_slot_count() const {
+  size_t slots = 0;
+  for (const auto& [address, peer] : peers_) {
+    slots += exchange_counts(address).awaiting;
   }
+  return slots;
+}
+
+PairedEndpoint::ExchangeCounts PairedEndpoint::exchange_counts(
+    net::NetAddress peer) const {
+  ExchangeCounts counts;
+  if (auto p = peers_.find(peer); p != peers_.end()) {
+    for (const auto& [id, e] : p->second.exchanges) {
+      ++counts.held;
+      counts.sending += (e.send != nullptr) ? 1 : 0;
+      counts.reassembling +=
+          (e.total_segments != 0 && !e.completed()) ? 1 : 0;
+      counts.awaiting += e.slot.has_value() ? 1 : 0;
+    }
+  }
+  return counts;
+}
+
+std::vector<std::pair<net::NetAddress, sim::TimePoint>>
+PairedEndpoint::PeerActivity() const {
+  std::vector<std::pair<net::NetAddress, sim::TimePoint>> heard;
+  for (const auto& [address, peer] : peers_) {
+    if (peer.last_heard.has_value()) {
+      heard.emplace_back(address, *peer.last_heard);
+    }
+  }
+  return heard;
 }
 
 }  // namespace circus::msg

@@ -24,11 +24,10 @@
 #define SRC_MSG_PAIRED_ENDPOINT_H_
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
+#include <utility>
 #include <vector>
 
 #include "src/common/bytes.h"
@@ -166,67 +165,96 @@ class PairedEndpoint {
   const Counters& counters() const { return counters_; }
 
   // Return slots currently held (awaited, or filled and not yet taken).
-  size_t return_slot_count() const { return return_slots_.size(); }
+  size_t return_slot_count() const;
 
-  // Last time any segment arrived from each peer (the probe machinery's
-  // own liveness bookkeeping). A peer silent for longer than
-  // probe_interval * max_silent_probes is the one the endpoint would
-  // declare crashed; the node health endpoint renders exactly that
-  // judgement.
-  const std::map<net::NetAddress, sim::TimePoint>& PeerActivity() const {
-    return last_activity_;
-  }
+  // The exchanges held with `peer`: all, and those with a running send,
+  // a partial reassembly or a return slot (the rest are history).
+  struct ExchangeCounts {
+    size_t held = 0, sending = 0, reassembling = 0, awaiting = 0;
+  };
+  ExchangeCounts exchange_counts(net::NetAddress peer) const;
+
+  // Last time any segment arrived from each peer heard from, in address
+  // order (the probe machinery's own liveness bookkeeping). A peer silent
+  // for longer than probe_interval * max_silent_probes is the one the
+  // endpoint would declare crashed; the node health endpoint renders
+  // exactly that judgement.
+  std::vector<std::pair<net::NetAddress, sim::TimePoint>> PeerActivity()
+      const;
 
  private:
-  struct ExchangeKey {
-    net::NetAddress peer;
-    MessageType type;
-    uint32_t call_number;
-    auto operator<=>(const ExchangeKey&) const = default;
-  };
+  // An exchange with a peer is named by who sent its call and its call
+  // number, so a process that calls its peer and is called back with the
+  // same number holds two. kPeerCalls sorts first.
+  enum class Role : uint8_t { kPeerCalls, kWeCall };
+  using ExchangeId = std::pair<Role, uint32_t>;
 
-  struct SenderState {
-    SenderState(sim::Host* host, std::shared_ptr<const circus::Bytes> m,
-                std::vector<Segment> headers)
-        : message(std::move(m)), segments(std::move(headers)),
-          progress(host) {}
+  // A running send. It lives in the frame of the SendMessage coroutine
+  // that runs it; its exchange points at it. (A host crash ends that
+  // frame and the receiver loop together, so no ack reaches a dead send.)
+  struct Send {
+    Send(sim::Host* host, uint8_t total) : total_segments(total),
+                                           progress(host) {}
 
-    bool all_acked() const { return first_unacked == segments.size(); }
-    const Segment& first_unacked_segment() const {
-      return segments[first_unacked];
-    }
-
-    // The whole message; every transmission slices its segment from here.
-    std::shared_ptr<const circus::Bytes> message;
-    // Headers (no data) of the message's segments, in order; those from
-    // `first_unacked` on are not yet acknowledged.
-    std::vector<Segment> segments;
-    size_t first_unacked = 0;
+    uint8_t total_segments;
+    uint8_t acked = 0;  // segments 1..acked are acknowledged
     // Signals ack progress; value is the new acknowledgment number
     // (UINT32_MAX for an implicit full ack).
     sim::Channel<uint32_t> progress;
   };
 
-  struct Reassembly {
+  // One call/return exchange seen from this side: our outgoing message
+  // (the call if we sent it, else the return) and the incoming one.
+  struct Exchange {
+    // Holding nothing, the exchange is freed.
+    bool idle() const {
+      return send == nullptr && total_segments == 0 && !slot.has_value();
+    }
+    // Delivered, and in its peer's completed history.
+    bool completed() const {
+      return total_segments != 0 && ack_number == total_segments;
+    }
+    // The return slot, made if there is none.
+    sim::Channel<Message>& Slot(sim::Host* host) {
+      return slot.has_value() ? *slot : slot.emplace(host);
+    }
+
+    Send* send = nullptr;  // our running send, if any
+    // The incoming message, from its first segment until the exchange
+    // leaves the completed history: its segment count, the highest
+    // consecutive segment received and, while a message of several
+    // segments is reassembled, the segments.
     uint8_t total_segments = 0;
-    uint8_t ack_number = 0;  // highest consecutive segment received
+    uint8_t ack_number = 0;
     std::vector<std::optional<circus::Bytes>> parts;
-    bool complete = false;
+    std::optional<sim::Channel<Message>> slot;  // our call's return
+  };
+  using ExchangeMap = std::map<ExchangeId, Exchange>;
+
+  struct Peer {
+    std::optional<sim::TimePoint> last_heard;  // probe bookkeeping
+    ExchangeMap exchanges;
+    // Completed exchanges, oldest first, at most
+    // completed_history_per_peer of them.
+    sim::Fifo<ExchangeMap::iterator> history;
+    // Returns being sent to the peer: bounds the implicit-ack walk.
+    size_t returns_sending = 0;
   };
 
   sim::Task<void> ReceiverLoop();
   void HandleSegment(const net::NetAddress& from, Segment seg);
-  void HandleAck(const net::NetAddress& from, const Segment& seg);
-  void HandleProbe(const net::NetAddress& from, const Segment& seg);
-  void HandleData(const net::NetAddress& from, Segment seg);
-  void ApplyImplicitAcks(const net::NetAddress& from, const Segment& seg);
+  void HandleData(const net::NetAddress& from, Peer& peer, ExchangeId id,
+                  Segment seg);
+  void ApplyImplicitAcks(Peer& peer, ExchangeMap::iterator exchange,
+                         MessageType type);
   void SendAck(const net::NetAddress& to, MessageType type,
                uint32_t call_number, uint8_t total_segments,
                uint8_t ack_number);
-  void DeliverMessage(const net::NetAddress& from, MessageType type,
-                      uint32_t call_number, circus::Bytes data);
-  void RememberCompleted(const ExchangeKey& key, uint8_t total_segments);
-  sim::Channel<Message>& ReturnSlot(const ExchangeKey& key);
+  void DeliverMessage(const net::NetAddress& from, Exchange& exchange,
+                      MessageType type, uint32_t call_number,
+                      circus::Bytes data);
+  void FreeIfIdle(Peer& peer, ExchangeMap::iterator exchange);
+  void DropReturnSlot(Peer& peer, uint32_t call_number);
   // Sends `seg`: a control segment as it is, a data segment header with
   // its slice of `message`.
   sim::Task<void> TransmitSegment(const net::NetAddress& to,
@@ -252,15 +280,9 @@ class PairedEndpoint {
   obs::Counter* duplicates_metric_ = nullptr;
   obs::Counter* crash_detections_metric_ = nullptr;
 
-  std::map<ExchangeKey, std::shared_ptr<SenderState>> senders_;
-  std::map<ExchangeKey, Reassembly> reassembly_;
-  // Completed exchange -> total segments (for re-acking duplicates).
-  std::map<ExchangeKey, uint8_t> completed_;
-  std::map<net::NetAddress, std::deque<ExchangeKey>> completed_order_;
   sim::Channel<Message> incoming_calls_;
-  std::map<ExchangeKey, sim::Channel<Message>> return_slots_;
-  // Last time any segment arrived from a peer (probe bookkeeping).
-  std::map<net::NetAddress, sim::TimePoint> last_activity_;
+  // Every exchange, by peer. A peer's entry is kept once made.
+  std::map<net::NetAddress, Peer> peers_;
 };
 
 }  // namespace circus::msg

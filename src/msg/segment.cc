@@ -69,21 +69,23 @@ std::optional<Segment> Segment::Decode(const circus::Bytes& raw) {
   return Decode(circus::Bytes(raw));
 }
 
-std::vector<Segment> SegmentHeaders(MessageType type, uint32_t call_number,
-                                    size_t size, size_t segment_data_bytes) {
+uint8_t SegmentCount(size_t size, size_t segment_data_bytes) {
   CIRCUS_CHECK(segment_data_bytes > 0);
   const size_t count =
       size == 0 ? 1 : (size + segment_data_bytes - 1) / segment_data_bytes;
   CIRCUS_CHECK_MSG(count <= kMaxSegmentsPerMessage,
                    "message too large for 255 segments");
-  std::vector<Segment> out(count);
-  for (size_t i = 0; i < count; ++i) {
-    out[i].type = type;
-    out[i].call_number = call_number;
-    out[i].total_segments = static_cast<uint8_t>(count);
-    out[i].segment_number = static_cast<uint8_t>(i + 1);
-  }
-  return out;
+  return static_cast<uint8_t>(count);
+}
+
+Segment SegmentHeader(MessageType type, uint32_t call_number, uint8_t total,
+                      int number) {
+  Segment s;
+  s.type = type;
+  s.call_number = call_number;
+  s.total_segments = total;
+  s.segment_number = static_cast<uint8_t>(number);
+  return s;
 }
 
 std::span<const uint8_t> SegmentSlice(const circus::Bytes& message,
@@ -98,25 +100,14 @@ std::span<const uint8_t> SegmentSlice(const circus::Bytes& message,
 std::vector<Segment> Segmentize(MessageType type, uint32_t call_number,
                                 const circus::Bytes& data,
                                 size_t segment_data_bytes) {
-  std::vector<Segment> out =
-      SegmentHeaders(type, call_number, data.size(), segment_data_bytes);
-  for (Segment& s : out) {
+  const uint8_t total = SegmentCount(data.size(), segment_data_bytes);
+  std::vector<Segment> out;
+  out.reserve(total);
+  for (int n = 1; n <= total; ++n) {
+    Segment& s = out.emplace_back(SegmentHeader(type, call_number, total, n));
     const std::span<const uint8_t> slice =
         SegmentSlice(data, s.segment_number, segment_data_bytes);
     s.data.assign(slice.begin(), slice.end());
-  }
-  return out;
-}
-
-circus::Bytes JoinSegments(const std::vector<circus::Bytes>& parts) {
-  circus::Bytes out;
-  size_t total = 0;
-  for (const circus::Bytes& p : parts) {
-    total += p.size();
-  }
-  out.reserve(total);
-  for (const circus::Bytes& p : parts) {
-    out.insert(out.end(), p.begin(), p.end());
   }
   return out;
 }

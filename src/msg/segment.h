@@ -76,25 +76,25 @@ struct Segment {
   static std::optional<Segment> Decode(const circus::Bytes& raw);
 };
 
-// The data segments of a `size`-byte message, headers only (`data`
-// empty): numbered 1..total, at most `segment_data_bytes` each, and at
-// least one, so a zero-length message is representable. CHECK-fails if
-// the message would need more than 255 segments.
-std::vector<Segment> SegmentHeaders(MessageType type, uint32_t call_number,
-                                    size_t size, size_t segment_data_bytes);
+// How many data segments a `size`-byte message takes: at most
+// `segment_data_bytes` each, and at least one, so a zero-length message
+// is representable. CHECK-fails if the message would need more than 255.
+uint8_t SegmentCount(size_t size, size_t segment_data_bytes);
+
+// A segment without data: data segment `number` (1..total) of a
+// `total`-segment message, or with `number` 0 a probe.
+Segment SegmentHeader(MessageType type, uint32_t call_number, uint8_t total,
+                      int number);
 
 // The bytes of `message` that data segment `segment_number` carries.
 std::span<const uint8_t> SegmentSlice(const circus::Bytes& message,
                                       uint8_t segment_number,
                                       size_t segment_data_bytes);
 
-// SegmentHeaders with each segment's slice copied into its `data`.
+// The data segments of a message, each with its slice copied into `data`.
 std::vector<Segment> Segmentize(MessageType type, uint32_t call_number,
                                 const circus::Bytes& data,
                                 size_t segment_data_bytes);
-
-// Reassembles message data; `parts[i]` is the data of segment i+1.
-circus::Bytes JoinSegments(const std::vector<circus::Bytes>& parts);
 
 }  // namespace circus::msg
 

@@ -1,10 +1,11 @@
-// Heap cost of the simulator's wait path. This binary replaces the global
-// operator new with a counting one, so each test can state exactly how
-// many heap blocks a channel operation, a suspension or a wakeup costs:
-// an empty channel owns nothing, a warmed-up send/receive cycle allocates
-// nothing, a receive that suspends allocates one block (its waiter) and
-// the wake that ends it none, and a zero-cost system call allocates
-// nothing at all.
+// Heap cost of the simulator's wait path and of one paired-message echo.
+// This binary replaces the global operator new with a counting one, so
+// each test can state exactly how many heap blocks a channel operation, a
+// suspension or a wakeup costs: an empty channel owns nothing, a
+// warmed-up send/receive cycle allocates nothing, a receive that suspends
+// allocates one block (its waiter) and the wake that ends it none, and a
+// zero-cost system call allocates nothing at all. A warm echo between two
+// PairedEndpoints is held to a per-echo budget.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -14,6 +15,10 @@
 #include <ostream>
 #include <string>
 
+#include "src/common/check.h"
+#include "src/msg/paired_endpoint.h"
+#include "src/net/socket.h"
+#include "src/net/world.h"
 #include "src/sim/channel.h"
 #include "src/sim/crash.h"
 #include "src/sim/executor.h"
@@ -205,6 +210,58 @@ INSTANTIATE_TEST_SUITE_P(
                       WakeCase{"Timeout", Wake::kTimeout},
                       WakeCase{"Crash", Wake::kCrash}),
     WakeCaseName);
+
+// Echoes every call back as its return.
+Task<void> EchoServer(msg::PairedEndpoint* ep) {
+  while (true) {
+    msg::Message m = co_await ep->NextIncomingCall();
+    co_await ep->SendMessage(m.peer, msg::MessageType::kReturn,
+                             m.call_number, std::move(m.data));
+  }
+}
+
+// Makes `warm` sequential 16-byte echoes, then `measured` more, and
+// stores the heap blocks the measured ones allocated in `blocks`.
+Task<void> EchoClient(msg::PairedEndpoint* ep, net::NetAddress to, int warm,
+                      int measured, int64_t* blocks) {
+  AllocationCount count;
+  for (int i = 0; i < warm + measured; ++i) {
+    if (i == warm) {
+      count = AllocationCount();
+    }
+    const uint32_t call = static_cast<uint32_t>(i + 1);
+    circus::Bytes body(16, 'e');
+    circus::Status sent = co_await ep->SendMessage(
+        to, msg::MessageType::kCall, call, std::move(body));
+    CIRCUS_CHECK(sent.ok());
+    circus::StatusOr<msg::Message> reply = co_await ep->AwaitReturn(to, call);
+    CIRCUS_CHECK(reply.ok() && reply->data.size() == 16);
+  }
+  *blocks = count();
+}
+
+TEST(EchoAllocTest, WarmEchoStaysWithinItsHeapBudget) {
+  // Heap blocks one warm single-segment echo allocates across both
+  // endpoints, the simulated network and the coroutines driving them.
+  constexpr int64_t kBlocksPerEcho = 29;
+  constexpr int kEchoes = 1000;
+  net::World world(3, SyscallCostModel::Free());
+  Host* client_host = world.AddHost("client");
+  Host* server_host = world.AddHost("server");
+  net::DatagramSocket client_socket(&world.network(), client_host, 0);
+  net::DatagramSocket server_socket(&world.network(), server_host, 9000);
+  msg::PairedEndpoint client(&client_socket, {});
+  msg::PairedEndpoint server(&server_socket, {});
+  server_host->Spawn(EchoServer(&server));
+  int64_t blocks = -1;
+  // The warm-up fills the completed histories and sizes every queue.
+  world.executor().Spawn(EchoClient(&client, server.local_address(),
+                                    /*warm=*/200, kEchoes, &blocks));
+  world.RunFor(Duration::Seconds(600));
+  ASSERT_GE(blocks, 0) << "the echoes did not finish";
+  EXPECT_LE(blocks, kBlocksPerEcho * kEchoes)
+      << static_cast<double>(blocks) / kEchoes << " blocks per echo";
+}
 
 }  // namespace
 }  // namespace circus::sim
