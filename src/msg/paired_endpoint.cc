@@ -199,14 +199,6 @@ sim::Task<Message> PairedEndpoint::NextIncomingCall() {
   co_return co_await ReceiveValue(incoming_calls_);
 }
 
-void PairedEndpoint::DropReturnSlot(Peer& peer, uint32_t call_number) {
-  auto it = peer.exchanges.find({Role::kWeCall, call_number});
-  if (it != peer.exchanges.end()) {
-    it->second.slot.reset();
-    FreeIfIdle(peer, it);
-  }
-}
-
 sim::Task<circus::StatusOr<Message>> PairedEndpoint::AwaitReturn(
     net::NetAddress peer, uint32_t call_number) {
   Peer& p = peers_[peer];
@@ -219,7 +211,7 @@ sim::Task<circus::StatusOr<Message>> PairedEndpoint::AwaitReturn(
             .Slot(host())
             .ReceiveWithTimeout(Jittered(options_.probe_interval));
     if (m.has_value()) {
-      DropReturnSlot(p, call_number);
+      DiscardReturn(peer, call_number);
       co_return std::move(*m);
     }
     // No reply yet. If we heard anything at all from the peer recently,
@@ -228,7 +220,7 @@ sim::Task<circus::StatusOr<Message>> PairedEndpoint::AwaitReturn(
         host()->executor().now() - *p.last_heard < options_.probe_interval) {
       silent_probes = 0;
     } else if (++silent_probes > options_.max_silent_probes) {
-      DropReturnSlot(p, call_number);
+      DiscardReturn(peer, call_number);
       if (crash_detections_metric_ != nullptr) {
         crash_detections_metric_->Increment();
       }
@@ -256,14 +248,19 @@ sim::Task<std::optional<Message>> PairedEndpoint::TryAwaitReturn(
           .Slot(host())
           .ReceiveWithTimeout(timeout);
   if (m.has_value()) {
-    DropReturnSlot(p, call_number);
+    DiscardReturn(peer, call_number);
   }
   co_return std::move(m);
 }
 
 void PairedEndpoint::DiscardReturn(net::NetAddress peer,
                                    uint32_t call_number) {
-  DropReturnSlot(peers_[peer], call_number);
+  Peer& p = peers_[peer];
+  auto it = p.exchanges.find({Role::kWeCall, call_number});
+  if (it != p.exchanges.end()) {
+    it->second.slot.reset();
+    FreeIfIdle(p, it);
+  }
 }
 
 sim::Task<void> PairedEndpoint::ReceiverLoop() {

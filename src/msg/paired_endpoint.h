@@ -254,7 +254,6 @@ class PairedEndpoint {
                       MessageType type, uint32_t call_number,
                       circus::Bytes data);
   void FreeIfIdle(Peer& peer, ExchangeMap::iterator exchange);
-  void DropReturnSlot(Peer& peer, uint32_t call_number);
   // Sends `seg`: a control segment as it is, a data segment header with
   // its slice of `message`.
   sim::Task<void> TransmitSegment(const net::NetAddress& to,
